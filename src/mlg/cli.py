@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .diagnostics import MlgError
 from .engine import DEADLOCK, STEP_LIMIT, TERMINATED, render_trace, run
@@ -25,6 +26,10 @@ EXIT_CHECK = 2
 EXIT_DEADLOCK = 3
 EXIT_STEP_LIMIT = 4
 EXIT_BUDGET_CUT = 5
+
+# the budget that cut a frontier state, and the flag that raises it
+CUT_FLAGS = {"depth": "--depth", "states": "--states",
+             "repl-budget": "--repl-budget"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,20 +170,35 @@ def cmd_explore(args) -> int:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(dot)
     deadlocks = find_deadlocks(graph)
-    print(f"states={len(graph.states)} edges={len(graph.edges)} "
-          f"deadlocks={len(deadlocks)} terminals={len(graph.terminals)} "
-          f"frontier={len(graph.frontier)}")
+    witness = deadlocks[0][1] if deadlocks else []
+    summary = {
+        "states": len(graph.states), "edges": len(graph.edges),
+        "deadlocks": len(deadlocks), "terminals": len(graph.terminals),
+        "frontier": len(graph.frontier),
+    }
+    records = args.fmt == "records"
+    if records:
+        print(json.dumps({"kind": "summary", **summary}, sort_keys=True))
+    else:
+        print(" ".join(f"{key}={value}" for key, value in summary.items()))
+        if deadlocks:
+            print(f"deadlock witness (length {len(witness)}):")
+    for i, label in enumerate(witness):
+        print(json.dumps({"kind": "witness", "step": i, "label": label},
+                         sort_keys=True) if records else f"#{i} {label}")
     if deadlocks:
-        _, path = deadlocks[0]
-        print(f"deadlock witness (length {len(path)}):")
-        for i, label in enumerate(path):
-            print(f"#{i} {label}")
         return EXIT_DEADLOCK
-    if graph.frontier:
-        print("warning: exploration budget cut before a verdict",
-              file=sys.stderr)
-        return EXIT_BUDGET_CUT
-    return EXIT_OK
+    cuts = Counter(graph.frontier.values())
+    for cause, flag in CUT_FLAGS.items():
+        if cause in cuts:
+            message = (f"exploration budget cut before a verdict: the "
+                       f"{cause} limit cut {cuts[cause]} frontier state(s); "
+                       f"raise {flag}")
+            print(json.dumps({"kind": "warning", "cause": cause, "flag": flag,
+                              "states": cuts[cause], "message": message},
+                             sort_keys=True) if records
+                  else f"warning: {message}", file=sys.stderr)
+    return EXIT_BUDGET_CUT if cuts else EXIT_OK
 
 
 def cmd_fmt(args) -> int:

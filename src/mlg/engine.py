@@ -103,6 +103,9 @@ class Configuration:
     default_repl_budget: int | None = None
     budget_cut: bool = False  # a spawn was suppressed by the repl budget
     token: int = 0  # bumped every step; guards against stale redexes
+    # the explorer's canonical-key cache, shared like proc_defs: term ids
+    # to their member keys, plus interned key tuples
+    canon_cache: dict = field(default_factory=dict)
 
     def clone(self) -> "Configuration":
         return Configuration(
@@ -118,6 +121,7 @@ class Configuration:
             default_repl_budget=self.default_repl_budget,
             budget_cut=False,
             token=self.token,
+            canon_cache=self.canon_cache,
         )
 
     def member(self, pid: int) -> SoupMember | None:
@@ -159,13 +163,6 @@ Redex = Comm | ReplSpawn
 
 # ---------------------------------------------------------------------------
 # Building the initial configuration
-
-
-def _resolve_chan(member: SoupMember, name: S.Name) -> ChanRef:
-    val = member.env.maybe(name.text)
-    if not isinstance(val, ChanRef):
-        raise EvalFault(f"'{name}' is not a channel in this scope")
-    return val
 
 
 def eval_payload(

@@ -65,9 +65,6 @@ class ValueEnv:
         child[name] = value
         return ValueEnv(child)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
 
 EMPTY_ENV = ValueEnv()
 

@@ -1,10 +1,13 @@
 """Bounded explicit-state exploration: deadlock detection and reachability.
 
-States are quotiented by structural congruence: parallel composition is
-flattened and sorted, nil operands dropped, sum operands sorted, and
-restriction-bound channels renamed to scope indices in order of first
-occurrence. The object store fingerprint is part of state identity, so
-data-dependent coordination is explored correctly.
+States are quotiented by structural congruence: the top-level parallel
+composition (the soup) is flattened and its nils dropped; in each member's
+key, env-bound free names become their values and sum and par operands are
+sorted; top-level restricted channels are numbered by first occurrence in
+the members ordered by key, with restricted channels neutral, then by pid.
+Binder names inside continuations are still compared by name. The object
+store fingerprint is part of state identity, so data-dependent coordination
+is explored correctly.
 """
 
 from __future__ import annotations
@@ -15,191 +18,166 @@ from dataclasses import dataclass, field
 from . import syntax as S
 from .evaluate import ChanRef, Closure, NatVal, ObjRef, ValueEnv
 from .engine import (
-    Comm, Configuration, Redex, ReplSpawn, SoupMember, enabled_redexes,
-    initial_configuration, step,
+    ChannelInfo, Configuration, Redex, ReplSpawn, SoupMember,
+    enabled_redexes, initial_configuration, step,
 )
-from .pretty import pretty_expr, pretty_sort, pretty_type
 
 # ---------------------------------------------------------------------------
 # Canonicalization
 
 
-def _render_value(v, chan_alias: dict[int, str]) -> str:
-    if isinstance(v, NatVal):
-        return str(v.n)
-    if isinstance(v, ChanRef):
-        return chan_alias.get(v.id, f"@c{v.id}")
-    if isinstance(v, ObjRef):
-        return f"@o{v.id}"
-    if isinstance(v, Closure):
-        return f"<fun({v.param}:{pretty_type(v.param_type)}) " + _render_expr(
-            v.body, v.env, chan_alias, {v.param.text}
-        ) + ">"
-    return repr(v)
+def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
+    """(structural key of `term` under `env`, restricted channel ids in
+    order of occurrence, names looked up in env).
+
+    Every key is a tuple headed by a string tag, so any two keys compare.
+    """
+    occurs: list[int] = []
+    looked_up: dict[str, None] = {}
+
+    def walk(node, env: ValueEnv, bound: frozenset[str]):
+        if isinstance(node, S.Name):
+            if node.text not in bound:
+                looked_up[node.text] = None
+                value = env.maybe(node.text)
+                if value is not None:
+                    return walk(value, env, bound)
+            return ("v", node.text)
+        if isinstance(node, S.Prefix):
+            action, guards = node.action, []
+            while isinstance(action, S.Match):
+                guards.append((walk(action.left, env, bound),
+                               walk(action.right, env, bound)))
+                action = action.inner
+            chan = walk(action.chan, env, bound)
+            if isinstance(action, S.Send):
+                return ("!", tuple(guards), chan,
+                        walk(action.payload, env, bound),
+                        walk(node.continuation, env, bound))
+            binder = action.binder.text
+            return ("?", tuple(guards), chan, binder,
+                    walk(node.continuation, env, bound | {binder}))
+        if isinstance(node, S.Sum):
+            operands = []
+            for side in (node.left, node.right):
+                key = walk(side, env, bound)
+                operands.extend(key[1] if key[0] == "+" else (key,))
+            return ("+", tuple(sorted(operands)))
+        if isinstance(node, S.Par):
+            return ("|", *sorted((walk(node.left, env, bound),
+                                  walk(node.right, env, bound))))
+        if isinstance(node, S.Nil):
+            return ("0",)
+        if isinstance(node, S.Restrict):
+            return ("new", str(node.chan_sort),
+                    walk(node.body, env, bound | {node.chan.text}))
+        if isinstance(node, S.Repl):
+            return ("repl", walk(node.body, env, bound))
+        if isinstance(node, S.ProcRef):
+            return ("ref", node.name.text)
+        if isinstance(node, (S.NamePayload, S.Var)):
+            return walk(node.name, env, bound)
+        if isinstance(node, S.CompPayload):
+            return walk(node.expr, env, bound)
+        if isinstance(node, S.ObjPayload):
+            return walk(node.data, env, bound)
+        if isinstance(node, S.MakeObject):
+            return ("obj", tuple((lab.text, walk(e, env, bound))
+                                 for lab, e in node.fields))
+        if isinstance(node, S.UpdateObject):
+            return ("upd", walk(node.target, env, bound),
+                    tuple((lab.text, walk(e, env, bound))
+                          for lab, e in node.updates))
+        if isinstance(node, S.Zero):
+            return ("z",)
+        if isinstance(node, S.Succ):
+            return ("s", walk(node.arg, env, bound))
+        if isinstance(node, S.Rec):
+            inner = bound | {node.succ_binder.text, node.rec_binder.text}
+            return ("rec", walk(node.scrutinee, env, bound),
+                    walk(node.zero_branch, env, bound),
+                    node.succ_binder.text, node.rec_binder.text,
+                    walk(node.succ_branch, env, inner))
+        if isinstance(node, S.Lambda):
+            return ("lam", node.param.text, str(node.param_type),
+                    walk(node.body, env, bound | {node.param.text}))
+        if isinstance(node, S.App):
+            return ("app", walk(node.fn, env, bound),
+                    walk(node.arg, env, bound))
+        if isinstance(node, S.FieldSel):
+            return ("sel", walk(node.subject, env, bound), node.label.text)
+        if isinstance(node, NatVal):
+            return ("n", node.n)
+        if isinstance(node, ChanRef):
+            info = scopes.get(node.id)
+            if info is not None and info.restricted:
+                occurs.append(node.id)
+                return ("r",)
+            return ("c", node.id)
+        if isinstance(node, ObjRef):
+            return ("o", node.id)
+        if isinstance(node, Closure):
+            return ("fun", node.param.text, str(node.param_type),
+                    walk(node.body, node.env, frozenset({node.param.text})))
+        raise TypeError(f"no structural key for {node!r}")
+
+    key = walk(term, env, frozenset())
+    return key, tuple(occurs), tuple(looked_up)
 
 
-def _render_expr(e, env: ValueEnv, chan_alias, bound: set[str]) -> str:
-    """Expression with env-bound free variables replaced by their values."""
-    if isinstance(e, S.Var):
-        if e.name.text not in bound and e.name.text in env:
-            return _render_value(env.lookup(e.name.text), chan_alias)
-        return e.name.text
-    if isinstance(e, S.Zero):
-        return "z"
-    if isinstance(e, S.Succ):
-        return f"succ({_render_expr(e.arg, env, chan_alias, bound)})"
-    if isinstance(e, S.Rec):
-        inner = bound | {e.succ_binder.text, e.rec_binder.text}
-        return (
-            f"rec {_render_expr(e.scrutinee, env, chan_alias, bound)}"
-            f"{{z->{_render_expr(e.zero_branch, env, chan_alias, bound)}"
-            f"|succ({e.succ_binder}) with {e.rec_binder}->"
-            f"{_render_expr(e.succ_branch, env, chan_alias, inner)}}}"
-        )
-    if isinstance(e, S.Lambda):
-        inner = bound | {e.param.text}
-        return (
-            f"fun({e.param}:{pretty_type(e.param_type)})"
-            f"{_render_expr(e.body, env, chan_alias, inner)}"
-        )
-    if isinstance(e, S.App):
-        return (
-            f"({_render_expr(e.fn, env, chan_alias, bound)} "
-            f"{_render_expr(e.arg, env, chan_alias, bound)})"
-        )
-    if isinstance(e, S.FieldSel):
-        return f"{_render_expr(e.subject, env, chan_alias, bound)}.{e.label}"
-    return repr(e)
-
-
-def _render_payload(p, env, chan_alias, bound) -> str:
-    if isinstance(p, S.NamePayload):
-        if p.name.text not in bound and p.name.text in env:
-            return _render_value(env.lookup(p.name.text), chan_alias)
-        return p.name.text
-    if isinstance(p, S.CompPayload):
-        return _render_expr(p.expr, env, chan_alias, bound)
-    d = p.data
-    if isinstance(d, S.MakeObject):
-        inner = ",".join(
-            f"{lab}={_render_expr(v, env, chan_alias, bound)}"
-            for lab, v in d.fields
-        )
-        return f"[{inner}]"
-    inner = ",".join(
-        f"{lab}<={_render_expr(v, env, chan_alias, bound)}"
-        for lab, v in d.updates
-    )
-    return f"{_render_expr(d.target, env, chan_alias, bound)}.[{inner}]"
-
-
-def _render_action(a, env, chan_alias, bound) -> tuple[str, set[str]]:
-    """Rendered action plus the names it binds in the continuation."""
-    guards = []
-    while isinstance(a, S.Match):
-        guards.append(
-            f"[{_render_payload(a.left, env, chan_alias, bound)}="
-            f"{_render_payload(a.right, env, chan_alias, bound)}]"
-        )
-        a = a.inner
-    chan = a.chan.text
-    if chan not in bound and chan in env:
-        chan = _render_value(env.lookup(chan), chan_alias)
-    prefix = "".join(guards)
-    if isinstance(a, S.Send):
-        payload = _render_payload(a.payload, env, chan_alias, bound)
-        return f"{prefix}{chan}!({payload})", set()
-    return f"{prefix}{chan}?({a.binder})", {a.binder.text}
-
-
-def _render_proc(p, env, chan_alias, bound: set[str]) -> str:
-    if isinstance(p, S.Nil):
-        return "0"
-    if isinstance(p, S.Prefix):
-        action, binds = _render_action(p.action, env, chan_alias, bound)
-        cont = _render_proc(p.continuation, env, chan_alias, bound | binds)
-        return f"{action}.{cont}"
-    if isinstance(p, S.Sum):
-        operands = sorted(_sum_operands(p, env, chan_alias, bound))
-        return "(" + "+".join(operands) + ")"
-    if isinstance(p, S.Par):
-        operands = sorted([
-            _render_proc(p.left, env, chan_alias, bound),
-            _render_proc(p.right, env, chan_alias, bound),
-        ])
-        return "(" + "|".join(operands) + ")"
-    if isinstance(p, S.Restrict):
-        # the binder shadows any outer binding of the same name
-        return (
-            f"new(:{pretty_sort(p.chan_sort)})"
-            + _render_proc(p.body, env, chan_alias, bound | {p.chan.text})
-        )
-    if isinstance(p, S.Repl):
-        return "!" + _render_proc(p.body, env, chan_alias, bound)
-    if isinstance(p, S.ProcRef):
-        return f"ref:{p.name}"
-    return repr(p)
-
-
-def _sum_operands(p, env, chan_alias, bound) -> list[str]:
-    if isinstance(p, S.Sum):
-        return (
-            _sum_operands(p.left, env, chan_alias, bound)
-            + _sum_operands(p.right, env, chan_alias, bound)
-        )
-    return [_render_proc(p, env, chan_alias, bound)]
-
-
-def _member_key(member: SoupMember, chan_alias: dict[int, str]) -> str:
-    text = _render_proc(member.term, member.env, chan_alias, set())
-    if isinstance(member.term, S.Repl) and member.repl_budget is not None:
-        text = f"{text}@budget{member.repl_budget}"
-    return text
+def _member_key(cache: dict, member: SoupMember,
+                scopes: dict[int, ChannelInfo]) -> tuple[tuple, tuple]:
+    """(interned key, restricted channel ids) of a member, cached on its
+    term and the values of the names the term's first walk looked up. The
+    entry holds the term, so its id is not reused while the cache lives."""
+    entry = cache.get(id(member.term))
+    if entry is not None:
+        values = (member.repl_budget, *map(member.env.maybe, entry[1]))
+        hit = entry[2].get(values)
+        if hit is not None:
+            return hit
+    key, occurs, names = _walk(member.term, member.env, scopes)
+    if member.repl_budget is not None:
+        key += (member.repl_budget,)
+    _, names, keys = cache.setdefault(id(member.term),
+                                      (member.term, names, {}))
+    values = (member.repl_budget, *map(member.env.maybe, names))
+    keys[values] = (cache.setdefault(key, key), occurs)
+    return keys[values]
 
 
 @dataclass(frozen=True)
 class CanonicalState:
-    soup: tuple[str, ...]
+    soup: tuple[tuple, ...]
     store: tuple
-    scopes: tuple[str, ...]
-
-    def is_empty(self) -> bool:
-        return not self.soup
+    scopes: tuple[tuple, ...]
 
 
 def canonicalize(config: Configuration) -> CanonicalState:
     """Quotient a configuration by structural congruence."""
-    # pass 1: restricted channel ids neutralized to fix a member order
-    neutral = {cid: "@r" for cid, info in config.chan_scopes.items()
-               if info.restricted}
-    order = sorted(
-        config.soup, key=lambda m: (_member_key(m, neutral), m.pid)
-    )
-    # pass 2: number restricted channels by first occurrence in that order
-    alias: dict[int, str] = {}
-
-    def register(cid: int):
-        if cid not in alias:
-            alias[cid] = f"@r{len(alias)}"
-
-    class _Registering(dict):
-        def get(self, cid, default=None):
-            info = config.chan_scopes.get(cid)
-            if info is not None and info.restricted:
-                register(cid)
-                return alias[cid]
-            return default
-
-    registering = _Registering()
-    keys = [_member_key(m, registering) for m in order]
-    keys.sort()
-    scope_rows = tuple(sorted(
-        f"{alias.get(info.id, info.name)}:{pretty_sort(info.sort)}"
-        f":{'x' if info.extruded else 'r' if info.restricted else 'g'}"
-        for info in config.chan_scopes.values()
+    cache, scopes = config.canon_cache, config.chan_scopes
+    order = []
+    for member in config.soup:
+        key, occurs = _member_key(cache, member, scopes)
+        order.append((key, member.pid, occurs))
+    order.sort()
+    alias: dict[int, int] = {}
+    soup = []
+    for key, _, occurs in order:
+        numbered = (key, tuple(alias.setdefault(cid, len(alias))
+                               for cid in occurs))
+        soup.append(cache.setdefault(numbered, numbered))
+    soup.sort()
+    rows = tuple(sorted(
+        ("x" if info.extruded else "r", alias[info.id], str(info.sort))
+        if info.restricted else ("g", info.name, str(info.sort))
+        for info in scopes.values()
         if not info.restricted or info.id in alias
     ))
-    return CanonicalState(tuple(keys), config.store.snapshot(), scope_rows)
+    soup_key = tuple(soup)
+    return CanonicalState(cache.setdefault(soup_key, soup_key),
+                          config.store.snapshot(),
+                          cache.setdefault(rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +187,23 @@ def canonicalize(config: Configuration) -> CanonicalState:
 @dataclass
 class StateGraph:
     initial: CanonicalState
-    states: set[CanonicalState] = field(default_factory=set)
+    # insertion-ordered: states in discovery order, which numbers DOT nodes
+    states: dict[CanonicalState, None] = field(default_factory=dict)
     edges: list[tuple[CanonicalState, str, CanonicalState]] = field(
         default_factory=list
     )
     deadlocks: set[CanonicalState] = field(default_factory=set)
     terminals: set[CanonicalState] = field(default_factory=set)
-    frontier: set[CanonicalState] = field(default_factory=set)
-    # one representative concrete configuration per canonical state
-    representatives: dict[CanonicalState, Configuration] = field(
-        default_factory=dict
-    )
+    # each state left unexpanded, with the budget that cut it: "depth",
+    # "states" or "repl-budget"
+    frontier: dict[CanonicalState, str] = field(default_factory=dict)
 
     @property
     def budget_cut(self) -> bool:
         return bool(self.frontier)
 
     def to_dot(self) -> str:
-        index = {s: i for i, s in enumerate(sorted(
-            self.states, key=lambda s: (s != self.initial, s.soup, s.store)
-        ))}
+        index = {s: i for i, s in enumerate(self.states)}
         lines = ["digraph states {"]
         for state, i in index.items():
             flags = []
@@ -271,8 +246,7 @@ def explore(
     config.trace = []  # traces are per-path; not part of explored state
     initial = canonicalize(config)
     graph = StateGraph(initial)
-    graph.states.add(initial)
-    graph.representatives[initial] = config
+    graph.states[initial] = None
     queue: deque[tuple[Configuration, CanonicalState, int]] = deque(
         [(config, initial, 0)]
     )
@@ -281,7 +255,7 @@ def explore(
         current.budget_cut = False
         redexes = enabled_redexes(current)
         if current.budget_cut:
-            graph.frontier.add(state)
+            graph.frontier[state] = "repl-budget"
         if not redexes:
             if not current.soup:
                 graph.terminals.add(state)
@@ -289,7 +263,7 @@ def explore(
                 graph.deadlocks.add(state)
             continue
         if depth >= max_depth:
-            graph.frontier.add(state)
+            graph.frontier.setdefault(state, "depth")
             continue
         for redex in redexes:
             succ = step(current, redex)
@@ -298,14 +272,11 @@ def explore(
             graph.edges.append((state, _edge_label(current, redex),
                                 succ_state))
             if succ_state not in graph.states:
-                if len(graph.states) >= max_states:
-                    graph.frontier.add(succ_state)
-                    graph.states.add(succ_state)
-                    graph.representatives[succ_state] = succ
-                    continue
-                graph.states.add(succ_state)
-                graph.representatives[succ_state] = succ
-                queue.append((succ, succ_state, depth + 1))
+                graph.states[succ_state] = None
+                if len(graph.states) > max_states:
+                    graph.frontier[succ_state] = "states"
+                else:
+                    queue.append((succ, succ_state, depth + 1))
     return graph
 
 

@@ -8,7 +8,7 @@ from importlib import resources
 from .diagnostics import Diagnostic, MlgError
 from . import syntax as S
 from .parser import parse_program, parse_type
-from .typecheck import CheckResult, check_program
+from .typecheck import check_program
 
 
 def prelude_source() -> str:
@@ -111,8 +111,3 @@ def load_program(
             for name in clashes
         ])
     return S.Program(base.defs + program.defs, program.entry, program.span)
-
-
-def check_loaded(program: S.Program) -> CheckResult:
-    result = check_program(program)
-    return result

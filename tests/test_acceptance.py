@@ -123,10 +123,12 @@ def test_acceptance_4_atomicity(capsys):
     assert result.ok
     graph = explore(program, annotations=result.obj_annotations)
     bad = 0
-    for state, config in graph.representatives.items():
-        for obj in config.store.objects.values():
-            combo = tuple(obj.fields[lab].n for lab in ("fx", "fy", "fz"))
-            if combo not in RACE_ALLOWED.get(obj.version, set()):
+    for state in graph.states:
+        # store snapshot rows: (id, version, ((label, rendered value), ...))
+        for _, version, fields in state.store:
+            values = dict(fields)
+            combo = tuple(int(values[lab]) for lab in ("fx", "fy", "fz"))
+            if combo not in RACE_ALLOWED.get(version, set()):
                 bad += 1
     ok = bad == 0 and len(graph.states) <= 1000 and not graph.deadlocks
     report(capsys, 4, "atomicity", ok,

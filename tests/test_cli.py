@@ -119,6 +119,55 @@ def test_explore_budget_cut_exit_5(capsys, tmp_path):
     assert "budget cut" in err
 
 
+@pytest.mark.parametrize("cause, argv", [
+    ("depth", ["--depth", "1"]),
+    ("states", ["--states", "2"]),
+    ("repl-budget", ["--repl-budget", "1"]),
+])
+def test_explore_budget_cut_names_cause_and_flag(capsys, tmp_path, cause,
+                                                 argv):
+    path = write(
+        tmp_path,
+        "chan c : nat\nsystem = !c?(x) . 0 | !c!(1) . 0\n",
+    )
+    code, out, err = invoke(capsys, "explore", path, *argv)
+    assert code == 5
+    assert err.count("warning:") == 1
+    assert f"the {cause} limit cut" in err
+    assert f"raise --{cause}" in err
+
+
+def test_explore_records_deadlock_witness(capsys, tmp_path):
+    path = write(tmp_path, "chan c : nat\nsystem = c!(1) . c?(x) . 0 "
+                           "| c?(y) . 0\n")
+    code, out, err = invoke(capsys, "explore", path, "--format", "records")
+    assert code == 3
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert records == [
+        {"kind": "summary", "states": 2, "edges": 1, "deadlocks": 1,
+         "terminals": 0, "frontier": 0},
+        {"kind": "witness", "step": 0, "label": "comm(c)"},
+    ]
+    assert err == ""
+
+
+def test_explore_records_budget_cut(capsys, tmp_path):
+    path = write(
+        tmp_path,
+        "chan c : nat\nsystem = !c?(x) . 0 | !c!(1) . 0\n",
+    )
+    code, out, err = invoke(capsys, "explore", path, "--repl-budget", "1",
+                            "--format", "records")
+    assert code == 5
+    summary = json.loads(out)
+    assert summary["kind"] == "summary" and summary["frontier"] > 0
+    warning = json.loads(err)
+    assert warning["kind"] == "warning"
+    assert warning["cause"] == "repl-budget"
+    assert warning["flag"] == "--repl-budget"
+    assert warning["states"] == summary["frontier"]
+
+
 def test_explore_dot_output(capsys, tmp_path):
     code, out, err = invoke(
         capsys, "explore", str(demo_path("deadlock_recv.mlg")), "--dot", "-"
