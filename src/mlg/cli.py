@@ -188,7 +188,8 @@ def cmd_explore(args) -> int:
                          sort_keys=True) if records else f"#{i} {label}")
     if deadlocks:
         return EXIT_DEADLOCK
-    cuts = Counter(graph.frontier.values())
+    cuts = Counter(cause for causes in graph.frontier.values()
+                   for cause in causes)
     for cause, flag in CUT_FLAGS.items():
         if cause in cuts:
             message = (f"exploration budget cut before a verdict: the "

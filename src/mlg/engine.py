@@ -5,13 +5,17 @@ table and the object store. One reduction step is either a synchronous
 communication (Comm) or a lazy replication unfolding (ReplSpawn). The
 scheduler picks uniformly among the canonically ordered enabled redexes with
 a seeded generator, so identical (program, seed, maxSteps) triples produce
-byte-identical traces.
+byte-identical traces. It indexes each member's offers by channel, counts
+the redexes from the index and builds only the one the seed picks, so a step
+costs O(members).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import MlgError
@@ -36,7 +40,6 @@ class ChannelInfo:
     name: str
     sort: T.ChannelSort
     restricted: bool
-    depth: int = 0
     extruded: bool = False
 
 
@@ -90,11 +93,14 @@ class TraceEvent:
 
 @dataclass
 class Configuration:
-    soup: list[SoupMember]
+    soup: list[SoupMember]  # in pid order
     chan_scopes: dict[int, ChannelInfo]
     store: ObjectStore
     step_count: int = 0
-    trace: list[TraceEvent] = field(default_factory=list)
+    # an append-only log that clone shares, so step appends to its input's
+    # trace too; callers that step one configuration more than once set it
+    # to None, which keeps no trace
+    trace: list[TraceEvent] | None = field(default_factory=list)
     next_pid: int = 0
     next_chan: int = 0
     # plumbing shared by all configurations of one run
@@ -106,6 +112,9 @@ class Configuration:
     # the explorer's canonical-key cache, shared like proc_defs: term ids
     # to their member keys, plus interned key tuples
     canon_cache: dict = field(default_factory=dict)
+    # the scheduler's cache, shared like proc_defs: pid -> (member, offers
+    # or Unfolding), for members whose offers do not wait on a match guard
+    offer_cache: dict = field(default_factory=dict)
 
     def clone(self) -> "Configuration":
         return Configuration(
@@ -113,7 +122,7 @@ class Configuration:
             chan_scopes=dict(self.chan_scopes),
             store=self.store.clone(),
             step_count=self.step_count,
-            trace=list(self.trace),
+            trace=self.trace,
             next_pid=self.next_pid,
             next_chan=self.next_chan,
             annotations=self.annotations,
@@ -122,6 +131,7 @@ class Configuration:
             budget_cut=False,
             token=self.token,
             canon_cache=self.canon_cache,
+            offer_cache=self.offer_cache,
         )
 
     def member(self, pid: int) -> SoupMember | None:
@@ -225,40 +235,51 @@ def _eval_data(
     return target, fuel.used
 
 
-def insert_term(
+def _normalize(
     config: Configuration,
     term: S.ProcTerm,
     env: ValueEnv,
-    depth: int = 0,
-) -> None:
-    """Normalize a term into soup members (splitting pars, allocating
-    restrictions, dropping nils, inlining process references)."""
-    if isinstance(term, S.Nil):
-        return
+    bind,
+    out: list | None = None,
+) -> list[tuple[S.ProcTerm, ValueEnv]]:
+    """The (term, env) of each soup member `term` normalizes into: pars
+    split, nils dropped, process references inlined, and each restricted
+    name bound to the ChanRef that bind(restriction) returns."""
+    out = [] if out is None else out
     if isinstance(term, S.Par):
-        insert_term(config, term.left, env, depth)
-        insert_term(config, term.right, env, depth)
-        return
-    if isinstance(term, S.Restrict):
-        cid = config.next_chan
-        config.next_chan += 1
-        config.chan_scopes[cid] = ChannelInfo(
-            cid, term.chan.text, term.chan_sort, restricted=True, depth=depth
-        )
-        insert_term(
-            config, term.body, env.extend(term.chan.text, ChanRef(cid)),
-            depth + 1,
-        )
-        return
-    if isinstance(term, S.ProcRef):
+        _normalize(config, term.left, env, bind, out)
+        _normalize(config, term.right, env, bind, out)
+    elif isinstance(term, S.Restrict):
+        env = env.extend(term.chan.text, bind(term))
+        _normalize(config, term.body, env, bind, out)
+    elif isinstance(term, S.ProcRef):
         body = config.proc_defs.get(term.name.text)
         if body is None:
             raise MlgError(f"unbound process name '{term.name}'")
-        insert_term(config, body, env, depth)
-        return
-    budget = config.default_repl_budget if isinstance(term, S.Repl) else None
-    config.soup.append(SoupMember(config.next_pid, term, env, budget))
-    config.next_pid += 1
+        _normalize(config, body, env, bind, out)
+    elif not isinstance(term, S.Nil):
+        out.append((term, env))
+    return out
+
+
+def insert_term(config: Configuration, term: S.ProcTerm,
+                env: ValueEnv) -> None:
+    """Normalize a term into soup members, allocating its restrictions."""
+
+    def allocate(restrict: S.Restrict) -> ChanRef:
+        cid = config.next_chan
+        config.next_chan += 1
+        config.chan_scopes[cid] = ChannelInfo(
+            cid, restrict.chan.text, restrict.chan_sort, restricted=True
+        )
+        return ChanRef(cid)
+
+    for member, member_env in _normalize(config, term, env, allocate):
+        budget = (config.default_repl_budget
+                  if isinstance(member, S.Repl) else None)
+        config.soup.append(SoupMember(config.next_pid, member, member_env,
+                                      budget))
+        config.next_pid += 1
 
 
 def initial_configuration(
@@ -347,114 +368,175 @@ def member_offers(config: Configuration, member: SoupMember) -> list[Offer]:
     return _term_offers(config, member.term, member.env)
 
 
-def _spawn_members(
-    config: Configuration, member: SoupMember, pid_base: int | None = None
-) -> list[SoupMember]:
-    """Members a ReplSpawn of `member` would add (speculative: restricted
-    channels get placeholder ids that cannot match any existing channel)."""
-    spec = Configuration(
-        soup=[], chan_scopes=dict(config.chan_scopes),
-        store=config.store, annotations=config.annotations,
-        proc_defs=config.proc_defs,
-        default_repl_budget=config.default_repl_budget,
-    )
-    spec.next_chan = -1_000_000  # placeholder ids, never equal to real ones
-    spec.next_pid = config.next_pid if pid_base is None else pid_base
-    insert_term(spec, member.term.body, member.env)
-    return spec.soup
+def _guarded(term: S.ProcTerm) -> bool:
+    """True when one of the term's offers waits on a match guard; a guard
+    can read object fields, so its outcome can change when the store does."""
+    if isinstance(term, S.Sum):
+        return _guarded(term.left) or _guarded(term.right)
+    return isinstance(term, S.Prefix) and isinstance(term.action, S.Match)
 
 
-def _spawn_enables_comm(
-    config: Configuration,
-    member: SoupMember,
-    enabled_chans: frozenset[int] = frozenset(),
-) -> bool:
-    """True when unfolding `member` once would enable a communication on a
-    channel where none is currently enabled. Offers of other replications'
-    one-step unfoldings count as potential partners, so two replications
-    that can only talk to each other still make progress."""
+@dataclass(frozen=True)
+class Unfolding:
+    """What one unfolding of a replication would offer, if it spawned now.
+
+    `offers` holds (channel id, is a send) for the channels that already
+    exist. `talks` holds the channels on which two members of the unfolding
+    could talk to each other, with None for a channel the unfolding itself
+    restricts: such a channel is private to that one unfolding. An
+    unfolding whose guards fault offers nothing.
+    """
+    offers: frozenset[tuple[int, bool]] = frozenset()
+    talks: frozenset[int | None] = frozenset()
+
+
+def _unfolding(config: Configuration,
+               parts: list[tuple[S.ProcTerm, ValueEnv]]) -> Unfolding:
+    polarity: dict[int, tuple[set[int], set[int]]] = {}
     try:
-        new_members = _spawn_members(config, member)
-        new_offers: list[tuple[int, Offer]] = []
-        for m in new_members:
-            for off in _term_offers(config, m.term, m.env):
-                new_offers.append((m.pid, off))
-        existing: list[tuple[int, Offer]] = []
-        for m in config.soup:
-            if m.pid == member.pid:
-                continue
-            if isinstance(m.term, S.Repl):
-                # exhausted replications still count as potential partners:
-                # under the unbounded semantics they could unfold, and the
-                # budget-cut flag depends on seeing that possibility
-                # distinct negative pids keep speculative members from the
-                # two unfoldings from ever looking like the same process
-                base = -1_000_000 * (m.pid + 1)
-                for spec in _spawn_members(config, m, pid_base=base):
-                    for off in _term_offers(config, spec.term, spec.env):
-                        existing.append((spec.pid, off))
-                continue
-            for off in member_offers(config, m):
-                existing.append((m.pid, off))
-        for pid_a, off_a in new_offers:
-            if off_a.chan_id in enabled_chans:
-                continue
-            for pid_b, off_b in existing + new_offers:
-                if pid_a == pid_b or off_a.chan_id != off_b.chan_id:
-                    continue
-                if isinstance(off_a.action, S.Send) and isinstance(
-                    off_b.action, S.Receive
-                ):
-                    return True
-                if isinstance(off_a.action, S.Receive) and isinstance(
-                    off_b.action, S.Send
-                ):
-                    return True
-        return False
+        for i, (term, env) in enumerate(parts):
+            for off in _term_offers(config, term, env):
+                sends, receives = polarity.setdefault(off.chan_id,
+                                                      (set(), set()))
+                (sends if isinstance(off.action, S.Send) else receives).add(i)
     except EvalFault:
+        return Unfolding()
+    existing = config.next_chan  # the unfolding's own channels come after
+    return Unfolding(
+        frozenset((cid, send) for cid, pair in polarity.items()
+                  if cid < existing
+                  for send, who in zip((True, False), pair) if who),
+        frozenset(cid if cid < existing else None
+                  for cid, (sends, receives) in polarity.items()
+                  if sends and receives and len(sends | receives) > 1),
+    )
+
+
+def _offers(config: Configuration,
+            member: SoupMember) -> list[Offer] | Unfolding:
+    """A member's offers, or a replication's Unfolding, cached for the run.
+
+    A member's term and env never change, so the entry holds until the
+    member leaves the soup. Offers that wait on a match guard are computed
+    again on every call, since a guard can read the store. Entries are
+    keyed by pid and hold the member, so configurations of one exploration
+    that reuse a pid for another member never see each other's entries.
+    """
+    entry = config.offer_cache.get(member.pid)
+    if entry is not None and entry[0] is member:
+        return entry[1]
+    if isinstance(member.term, S.Repl):
+        fresh = itertools.count(config.next_chan)
+        parts = _normalize(config, member.term.body, member.env,
+                           lambda restrict: ChanRef(next(fresh)))
+        value = _unfolding(config, parts)
+        guarded = any(_guarded(term) for term, _ in parts)
+    else:
+        value = member_offers(config, member)
+        guarded = _guarded(member.term)
+    if not guarded:
+        config.offer_cache[member.pid] = (member, value)
+    return value
+
+
+@dataclass
+class _Index:
+    """The enabled redexes of one configuration, counted per sender, so
+    that the i-th in canonical order can be built without the others."""
+    token: int
+    # (pid, send offers, comms it can send) in pid order
+    senders: list[tuple[int, list[Offer], int]]
+    # channel id -> (pid, receive offer) in pid order
+    receivers: dict[int, list[tuple[int, Offer]]]
+    spawns: list[int]  # replications whose unfolding enables a comm
+    count: int
+
+    def comms(self, pid: int, sends: list[Offer]) -> list[Comm]:
+        comms = [
+            Comm(pid, off.path, rpid, roff.path, off.chan_id, self.token)
+            for off in sends
+            for rpid, roff in self.receivers.get(off.chan_id, ())
+            if rpid != pid
+        ]
+        comms.sort(key=Comm.sort_key)
+        return comms
+
+    def redex(self, i: int) -> Redex:
+        for pid, sends, n in self.senders:
+            if i < n:
+                return self.comms(pid, sends)[i]
+            i -= n
+        return ReplSpawn(self.spawns[i], self.token)
+
+    def redexes(self) -> list[Redex]:
+        comms = [comm for pid, sends, _ in self.senders
+                 for comm in self.comms(pid, sends)]
+        return comms + [ReplSpawn(pid, self.token) for pid in self.spawns]
+
+
+def _index(config: Configuration) -> _Index:
+    """Index the soup's offers by channel; costs O(members) given the
+    cached offers. Sets config.budget_cut when an exhausted replication's
+    spawn would be enabled."""
+    members, receivers, repls = [], {}, []
+    for member in config.soup:  # in pid order
+        if isinstance(member.term, S.Repl):
+            repls.append(member)
+            continue
+        offers = _offers(config, member)
+        for off in offers:
+            if isinstance(off.action, S.Receive):
+                receivers.setdefault(off.chan_id, []).append((member.pid, off))
+        members.append((member.pid, offers))
+    senders, sending, enabled = [], set(), set()
+    for pid, offers in members:
+        sends = [off for off in offers if isinstance(off.action, S.Send)]
+        n = 0
+        for off in sends:
+            sending.add(off.chan_id)
+            # a sum cannot talk to itself: drop its own receive offers
+            partners = len(receivers.get(off.chan_id, ())) - sum(
+                isinstance(o.action, S.Receive) and o.chan_id == off.chan_id
+                for o in offers)
+            if partners:
+                enabled.add(off.chan_id)
+                n += partners
+        if sends:
+            senders.append((pid, sends, n))
+
+    unfoldings = [(member, _offers(config, member)) for member in repls]
+    repl_offers = Counter(o for _, u in unfoldings for o in u.offers)
+
+    def enables_comm(u: Unfolding) -> bool:
+        """A spawn must enable a comm on a channel that has none yet. Other
+        replications, exhausted ones too, count as partners: they could
+        unfold as well."""
+        if any(cid is None or cid not in enabled for cid in u.talks):
+            return True
+        for cid, send in u.offers:
+            partner = (cid, not send)
+            if cid not in enabled and (
+                cid in (receivers if send else sending)
+                or repl_offers[partner] > (partner in u.offers)
+            ):
+                return True
         return False
+
+    spawns = []
+    for member, unfolding in unfoldings:
+        if not enables_comm(unfolding):
+            continue
+        if member.repl_budget is not None and member.repl_budget <= 0:
+            config.budget_cut = True  # suppressed; the explorer's frontier
+        else:
+            spawns.append(member.pid)
+    count = sum(n for _, _, n in senders) + len(spawns)
+    return _Index(config.token, senders, receivers, spawns, count)
 
 
 def enabled_redexes(config: Configuration) -> list[Redex]:
     """All enabled redexes in canonical order (deterministic)."""
-    offers: dict[int, list[Offer]] = {}
-    for member in config.soup:
-        if isinstance(member.term, S.Repl):
-            continue
-        offers[member.pid] = member_offers(config, member)
-    redexes: list[Redex] = []
-    pids = sorted(offers)
-    for spid in pids:
-        for soff in offers[spid]:
-            if not isinstance(soff.action, S.Send):
-                continue
-            for rpid in pids:
-                if rpid == spid:
-                    continue
-                for roff in offers[rpid]:
-                    if (
-                        isinstance(roff.action, S.Receive)
-                        and roff.chan_id == soff.chan_id
-                    ):
-                        redexes.append(Comm(
-                            spid, soff.path, rpid, roff.path,
-                            soff.chan_id, config.token,
-                        ))
-    enabled_chans = frozenset(
-        r.chan_id for r in redexes if isinstance(r, Comm)
-    )
-    for member in config.soup:
-        if not isinstance(member.term, S.Repl):
-            continue
-        if member.repl_budget is not None and member.repl_budget <= 0:
-            # would-be spawn suppressed; record for the explorer's frontier
-            if _spawn_enables_comm(config, member, enabled_chans):
-                config.budget_cut = True
-            continue
-        if _spawn_enables_comm(config, member, enabled_chans):
-            redexes.append(ReplSpawn(member.pid, config.token))
-    redexes.sort(key=lambda r: r.sort_key())
-    return redexes
+    return _index(config).redexes()
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +558,11 @@ def _strip_guards(action: S.ProcAction) -> S.ProcAction:
 
 
 def step(config: Configuration, redex: Redex) -> Configuration:
-    """Apply one redex, returning the successor configuration."""
+    """Apply one redex, returning the successor configuration.
+
+    The successor appends its events to the trace list it shares with
+    `config`; a caller that applies several redexes to one configuration
+    sets `config.trace = None` first."""
     if redex.token != config.token:
         raise MlgError("stale redex applied to a later configuration")
     new = config.clone()
@@ -491,9 +577,10 @@ def step(config: Configuration, redex: Redex) -> Configuration:
                                     repl_budget=member.repl_budget - 1)
         first_new_pid = new.next_pid
         insert_term(new, member.term.body, member.env)
-        new.trace.append(TraceEvent(
-            "spawn", new.step_count, pids=(redex.pid, first_new_pid)
-        ))
+        if new.trace is not None:
+            new.trace.append(TraceEvent(
+                "spawn", new.step_count, pids=(redex.pid, first_new_pid)
+            ))
         new.step_count += 1
         return new
 
@@ -531,15 +618,15 @@ def step(config: Configuration, redex: Redex) -> Configuration:
     insert_term(new, recv_prefix.continuation,
                 receiver.env.extend(recv_action.binder.text, value))
 
-    new.trace.extend(update_events)
-    detail = f"eval={eval_steps}" if eval_steps else ""
-    new.trace.append(TraceEvent(
-        "comm", new.step_count,
-        pids=(sender.pid, receiver.pid),
-        chan=info.name, payload=render_value(value),
-        store_delta=tuple(e.store_delta[0] for e in update_events),
-        detail=detail,
-    ))
+    if new.trace is not None:
+        new.trace.extend(update_events)
+        new.trace.append(TraceEvent(
+            "comm", new.step_count,
+            pids=(sender.pid, receiver.pid),
+            chan=info.name, payload=render_value(value),
+            store_delta=tuple(e.store_delta[0] for e in update_events),
+            detail=f"eval={eval_steps}" if eval_steps else "",
+        ))
     new.step_count += 1
     return new
 
@@ -585,11 +672,16 @@ def run(
         if config.step_count >= max_steps:
             verdict = STEP_LIMIT
             break
-        redexes = enabled_redexes(config)
-        if not redexes:
+        index = _index(config)
+        if not index.count:
             verdict = TERMINATED if not config.soup else DEADLOCK
             break
-        config = step(config, redexes[rng.randrange(len(redexes))])
+        redex = index.redex(rng.randrange(index.count))
+        config = step(config, redex)
+        if isinstance(redex, Comm):
+            # both left the soup, and pids are never reused along a run
+            config.offer_cache.pop(redex.sender_pid, None)
+            config.offer_cache.pop(redex.receiver_pid, None)
     config.trace.append(TraceEvent(verdict, config.step_count))
     return config, verdict, config.trace
 

@@ -194,9 +194,9 @@ class StateGraph:
     )
     deadlocks: set[CanonicalState] = field(default_factory=set)
     terminals: set[CanonicalState] = field(default_factory=set)
-    # each state left unexpanded, with the budget that cut it: "depth",
-    # "states" or "repl-budget"
-    frontier: dict[CanonicalState, str] = field(default_factory=dict)
+    # each state left wholly or partly unexpanded, with the budgets that
+    # cut it: "depth", "states" or "repl-budget"
+    frontier: dict[CanonicalState, set[str]] = field(default_factory=dict)
 
     @property
     def budget_cut(self) -> bool:
@@ -243,7 +243,7 @@ def explore(
     """BFS over canonical states, expanding every enabled redex."""
     config = initial_configuration(program, annotations,
                                    repl_budget=repl_budget)
-    config.trace = []  # traces are per-path; not part of explored state
+    config.trace = None  # traces are per path; explored states keep none
     initial = canonicalize(config)
     graph = StateGraph(initial)
     graph.states[initial] = None
@@ -255,7 +255,7 @@ def explore(
         current.budget_cut = False
         redexes = enabled_redexes(current)
         if current.budget_cut:
-            graph.frontier[state] = "repl-budget"
+            graph.frontier[state] = {"repl-budget"}
         if not redexes:
             if not current.soup:
                 graph.terminals.add(state)
@@ -263,20 +263,21 @@ def explore(
                 graph.deadlocks.add(state)
             continue
         if depth >= max_depth:
-            graph.frontier.setdefault(state, "depth")
+            graph.frontier.setdefault(state, {"depth"})
             continue
         for redex in redexes:
             succ = step(current, redex)
-            succ.trace = []
             succ_state = canonicalize(succ)
+            if succ_state not in graph.states:
+                if len(graph.states) >= max_states:
+                    # no room for the successor: this state stays
+                    # partly unexpanded
+                    graph.frontier.setdefault(state, set()).add("states")
+                    continue
+                graph.states[succ_state] = None
+                queue.append((succ, succ_state, depth + 1))
             graph.edges.append((state, _edge_label(current, redex),
                                 succ_state))
-            if succ_state not in graph.states:
-                graph.states[succ_state] = None
-                if len(graph.states) > max_states:
-                    graph.frontier[succ_state] = "states"
-                else:
-                    queue.append((succ, succ_state, depth + 1))
     return graph
 
 

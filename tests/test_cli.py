@@ -137,6 +137,57 @@ def test_explore_budget_cut_names_cause_and_flag(capsys, tmp_path, cause,
     assert f"raise --{cause}" in err
 
 
+@pytest.mark.parametrize("states", [1, 2, 3, 5])
+def test_explore_never_holds_more_states_than_the_cap(capsys, tmp_path,
+                                                     states):
+    path = write(
+        tmp_path,
+        "chan c : nat\nsystem = !c?(x) . 0 | !c!(1) . 0\n",
+    )
+    code, out, err = invoke(capsys, "explore", path, "--states", str(states))
+    assert code == 5
+    assert f"states={states} " in out
+    assert "the states limit cut" in err and "raise --states" in err
+
+
+def test_explore_reports_a_states_cut_on_a_repl_budget_frontier_state(
+        capsys, tmp_path):
+    # both states the cap admits are cut by the replication budget; their
+    # shared successor is then dropped by the state cap
+    path = write(
+        tmp_path,
+        "chan c : nat\nsystem = !c?(x) . 0 | !c!(1) . 0\n",
+    )
+    code, out, err = invoke(capsys, "explore", path, "--repl-budget", "1",
+                            "--states", "3")
+    assert code == 5
+    assert "states=3 " in out
+    assert "the repl-budget limit cut" in err and "raise --repl-budget" in err
+    assert "the states limit cut" in err and "raise --states" in err
+
+
+# two replications that each unfold a private channel: neither unfolding
+# has a partner, so neither may spawn
+PRIVATE_PAIR = ("system = !(new r : nat in r!(0) . 0) "
+                "| !(new s : nat in s?(x) . 0)\n")
+
+
+def test_run_replications_with_private_channels_deadlock(capsys, tmp_path):
+    path = write(tmp_path, PRIVATE_PAIR)
+    code, out, err = invoke(capsys, "run", path, "--max-steps", "50")
+    assert code == 3
+    assert out == "#0 deadlock\n"
+
+
+def test_explore_replications_with_private_channels_deadlock(capsys,
+                                                            tmp_path):
+    path = write(tmp_path, PRIVATE_PAIR)
+    code, out, err = invoke(capsys, "explore", path)
+    assert code == 3
+    assert out.startswith("states=1 edges=0 deadlocks=1 ")
+    assert err == ""
+
+
 def test_explore_records_deadlock_witness(capsys, tmp_path):
     path = write(tmp_path, "chan c : nat\nsystem = c!(1) . c?(x) . 0 "
                            "| c?(y) . 0\n")

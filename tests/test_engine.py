@@ -135,6 +135,21 @@ def test_replication_without_partner_stays_quiet():
     assert enabled_redexes(config) == []
 
 
+def test_replication_with_faulting_guard_offers_nothing():
+    # unchecked: the guard compares a natural with a channel. The faulting
+    # unfolding never spawns, and does not stop the other replication
+    program = load_program(
+        "chan c : nat\n"
+        "system = !([1 = c] c!(0) . 0) | !c?(x) . 0 | c!(5) . 0\n",
+        include_prelude=False,
+    )
+    config, verdict, trace = run(program)
+    assert verdict == DEADLOCK
+    assert [e.render() for e in trace] == [
+        "#0 spawn pid1=>pid3", "#1 comm c(5) pid2->pid3", "#2 deadlock",
+    ]
+
+
 def test_run_nil_terminates_in_zero_steps():
     program, ann = load("system = 0\n")
     config, verdict, trace = run(program, annotations=ann)

@@ -1,0 +1,183 @@
+"""The scheduler's redex index against a reference enumerator.
+
+`reference_redexes` is the scheduler's definition spelled out the slow way:
+every sender x receiver pair, and a spawn for each replication whose
+unfolding, next to one real unfolding of every other replication, adds a
+comm on a channel that has none. On configurations taken along seeded runs
+and one branching step beyond, the index must count the same redexes, build
+the same i-th redex for every i and flag the same replication-budget cuts.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+from termgen import gen_proc, proc_program
+from test_run_golden import FIXTURE, wide_text
+
+from mlg import engine as E
+from mlg import syntax as S
+from mlg.engine import (
+    Comm, ReplSpawn, initial_configuration, member_offers, run, step,
+)
+from mlg.prelude import load_program
+from mlg.typecheck import check_program
+
+
+def reference_comms(config) -> list[Comm]:
+    offers = {m.pid: member_offers(config, m) for m in config.soup
+              if not isinstance(m.term, S.Repl)}
+    comms = []
+    for spid in sorted(offers):
+        for soff in offers[spid]:
+            if not isinstance(soff.action, S.Send):
+                continue
+            for rpid in sorted(offers):
+                if rpid == spid:
+                    continue
+                for roff in offers[rpid]:
+                    if (isinstance(roff.action, S.Receive)
+                            and roff.chan_id == soff.chan_id):
+                        comms.append(Comm(spid, soff.path, rpid, roff.path,
+                                          soff.chan_id, config.token))
+    return sorted(comms, key=Comm.sort_key)
+
+
+def reference_redexes(config) -> tuple[list, bool]:
+    """(enabled redexes in canonical order, whether a budget cut one)."""
+    comms = reference_comms(config)
+    enabled = {comm.chan_id for comm in comms}
+    repls = [m for m in config.soup if isinstance(m.term, S.Repl)]
+    spawns, cut = [], False
+    for member in repls:
+        trial = config.clone()
+        trial.trace = None
+        trial = step(trial, ReplSpawn(member.pid, trial.token))
+        own = range(config.next_pid, trial.next_pid)
+        for other in repls:
+            if other.pid != member.pid:
+                trial = step(trial, ReplSpawn(other.pid, trial.token))
+        if not any(
+            (comm.sender_pid in own or comm.receiver_pid in own)
+            and comm.chan_id not in enabled
+            for comm in reference_comms(trial)
+        ):
+            continue
+        if member.repl_budget is not None and member.repl_budget <= 0:
+            cut = True
+        else:
+            spawns.append(ReplSpawn(member.pid, config.token))
+    return comms + spawns, cut
+
+
+def assert_index_matches(config) -> None:
+    want, want_cut = reference_redexes(config)
+    config.budget_cut = False
+    index = E._index(config)
+    assert index.count == len(want)
+    assert [index.redex(i) for i in range(index.count)] == want
+    assert config.budget_cut == want_cut
+    assert E.enabled_redexes(config) == want
+
+
+def walk(config, seed: int, steps: int) -> None:
+    """Check the index along a seeded run, and on every successor of each
+    configuration on it; successors share the run's caches and reuse its
+    pids for different members."""
+    rng = random.Random(seed)
+    config.trace = None
+    for _ in range(steps):
+        assert_index_matches(config)
+        redexes = E.enabled_redexes(config)
+        if not redexes:
+            return
+        for redex in redexes:
+            assert_index_matches(step(config, redex))
+        config = step(config, rng.choice(redexes))
+
+
+def _checked(text: str):
+    program = load_program(text, include_prelude=False)
+    result = check_program(program)
+    assert result.ok, [d.render() for d in result.diagnostics]
+    return program, result.obj_annotations
+
+
+SNIPPETS = [
+    "c!(1) . 0",
+    "c?(x) . d!(x) . 0",
+    "(c!(2) . 0 + c?(y) . 0)",
+    "(d!(3) . 0 + d?(y) . c!(y) . 0)",
+    "(c!(1) . 0 + [2 = 2] d?(u) . 0)",
+    "[1 = 1] d?(w) . 0",
+    "[1 = 2] c?(w) . 0",
+    "d?(a) . d?(b) . 0",
+    "!c?(x) . 0",
+    "!d!(4) . 0",
+    "!(c!(0) . 0 | c?(x) . 0)",
+    "!(d!(0) . 0 + d?(x) . 0)",
+    "!(new r : nat in (r!(0) . 0 | r?(x) . d!(x) . 0))",
+    "!(new r : nat in r!(0) . 0)",
+    "!(new s : nat in s?(x) . 0)",
+    "!(c?(x) . 0 | !d!(1) . 0)",
+    "new k : nat in (!k?(x) . c!(x) . 0 | k!(1) . 0)",
+    "o!([v = 0]) . 0",
+    "o?(q) . ([q.v = 0] d!(5) . 0 | o!(q.[v <= 1]) . 0 "
+    "| [q.v = 1] c!(6) . 0)",
+    "o?(q) . (!([q.v = 1] d!(7) . 0) | o!(q.[v <= 1]) . 0)",
+    "o?(q) . 0",
+]
+
+
+def soup_text(snippets: list[str]) -> str:
+    return ("chan c : nat\nchan d : nat\nchan o : [v : nat]\n"
+            "system = " + " | ".join(snippets) + "\n")
+
+
+def test_index_matches_reference_on_hand_built_soups():
+    for seed in range(150):
+        rng = random.Random(seed)
+        snippets = rng.choices(SNIPPETS, k=rng.randint(1, 6))
+        budget = rng.choice([None, 0, 1, 2])
+        program, annotations = _checked(soup_text(snippets))
+        config = initial_configuration(program, annotations,
+                                       repl_budget=budget)
+        walk(config, seed, steps=8)
+
+
+def test_index_matches_reference_on_generated_terms():
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    seeds = [int(name.split("/")[1]) for name in golden
+             if name.startswith("termgen/")]
+    assert len(seeds) >= 200
+    for seed in seeds:
+        term = gen_proc(random.Random(seed), depth=5)
+        walk(initial_configuration(proc_program(term)), seed, steps=6)
+
+
+def test_index_matches_reference_on_wide_soups():
+    for seed, (k, chans) in enumerate([(6, 1), (10, 2), (12, 3)]):
+        program, annotations = _checked(wide_text(seed, k, chans))
+        walk(initial_configuration(program, annotations), seed, steps=4)
+
+
+def _count_offer_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(config, member):
+        calls.append(member.pid)
+        return member_offers(config, member)
+
+    monkeypatch.setattr(E, "member_offers", counting)
+    return calls
+
+
+def test_run_computes_each_members_offers_once(monkeypatch):
+    calls = _count_offer_calls(monkeypatch)
+    k = 60
+    program, annotations = _checked(wide_text(3, k, 1))
+    _, verdict, trace = run(program, seed=3, annotations=annotations)
+    assert verdict == E.TERMINATED and len(trace) == k + 1
+    assert len(calls) <= 2 * k
+
