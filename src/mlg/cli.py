@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from .diagnostics import MlgError
 from .engine import DEADLOCK, STEP_LIMIT, TERMINATED, render_trace, run
@@ -107,8 +108,16 @@ def _emit_diagnostics(diags, fmt: str) -> None:
             print(diag.render(), file=sys.stderr)
 
 
+def _runtime_fault(exc: MlgError, filename: str, fmt: str) -> int:
+    """Report a fault raised while running the input, in its file."""
+    _emit_diagnostics([replace(d, filename=filename)
+                       for d in exc.diagnostics], fmt)
+    return EXIT_CHECK
+
+
 def _load_checked(args):
-    """Parse + check per the flags; returns (program, annotations)."""
+    """Parse + check per the flags; returns (program, annotations,
+    filename)."""
     text, filename = _read_input(args.input)
     try:
         program = load_program(
@@ -130,7 +139,7 @@ def _load_checked(args):
         if not result.ok:
             _emit_diagnostics(result.diagnostics, args.fmt)
             raise SystemExit(EXIT_CHECK)
-    return program, annotations
+    return program, annotations, filename
 
 
 def cmd_check(args) -> int:
@@ -139,15 +148,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
-    program, annotations = _load_checked(args)
+    program, annotations, filename = _load_checked(args)
     try:
         _, verdict, trace = run(
             program, seed=args.seed, max_steps=args.max_steps,
             annotations=annotations,
         )
     except MlgError as exc:
-        _emit_diagnostics(exc.diagnostics, args.fmt)
-        return EXIT_CHECK
+        return _runtime_fault(exc, filename, args.fmt)
     sys.stdout.write(render_trace(trace, args.fmt))
     if verdict == TERMINATED:
         return EXIT_OK
@@ -157,11 +165,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    program, annotations = _load_checked(args)
-    graph = explore(
-        program, max_depth=args.depth, max_states=args.states,
-        repl_budget=args.repl_budget, annotations=annotations,
-    )
+    program, annotations, filename = _load_checked(args)
+    try:
+        graph = explore(
+            program, max_depth=args.depth, max_states=args.states,
+            repl_budget=args.repl_budget, annotations=annotations,
+        )
+    except MlgError as exc:
+        return _runtime_fault(exc, filename, args.fmt)
     if args.dot:
         dot = graph.to_dot()
         if args.dot == "-":

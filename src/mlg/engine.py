@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .diagnostics import MlgError
+from .diagnostics import MlgError, Span
 from . import syntax as S
 from . import typecheck as T
 from .evaluate import (
@@ -185,17 +185,22 @@ def eval_payload(
     """Evaluate a payload to a Value; returns (value, computation steps).
 
     With mutate=False (guard evaluation) object creation/update is refused.
+    A fault, fuel exhaustion included, is located at the payload's span.
     """
-    if isinstance(payload, S.NamePayload):
-        return env.lookup(payload.name.text), 0
-    if isinstance(payload, S.CompPayload):
-        result = eval_comp(env, config.store, payload.expr,
-                           Fuel(DEFAULT_FUEL))
-        return result.value, result.steps
-    # ObjPayload
-    if not mutate:
-        raise EvalFault("object creation/update is not allowed in a guard")
-    return _eval_data(config, env, payload.data, events)
+    try:
+        if isinstance(payload, S.NamePayload):
+            return env.lookup(payload.name.text), 0
+        if isinstance(payload, S.CompPayload):
+            result = eval_comp(env, config.store, payload.expr,
+                               Fuel(DEFAULT_FUEL))
+            return result.value, result.steps
+        # ObjPayload
+        if not mutate:
+            raise EvalFault(
+                "object creation/update is not allowed in a guard")
+        return _eval_data(config, env, payload.data, events)
+    except EvalFault as fault:
+        raise fault.at(payload.span) from None
 
 
 def _eval_data(
@@ -295,8 +300,11 @@ def initial_configuration(
     env = EMPTY_ENV
     for item in program.defs:
         if isinstance(item, S.DefDef):
-            value = eval_comp(env, config.store, item.body,
-                              Fuel(DEFAULT_FUEL)).value
+            try:
+                value = eval_comp(env, config.store, item.body,
+                                  Fuel(DEFAULT_FUEL)).value
+            except EvalFault as fault:
+                raise fault.at(item.span) from None
             env = env.extend(item.name.text, value)
         elif isinstance(item, S.ChanDecl):
             cid = config.next_chan
@@ -605,7 +613,7 @@ def step(config: Configuration, redex: Redex) -> Configuration:
     info = new.chan_scopes.get(redex.chan_id)
     if info is None:
         raise MlgError(f"unknown channel id {redex.chan_id}")
-    _assert_sort(new, value, info)
+    _assert_sort(new, value, info, send_action.payload.span)
     if isinstance(value, ChanRef):
         target = new.chan_scopes.get(value.id)
         if target is not None and target.restricted and not target.extruded:
@@ -632,8 +640,9 @@ def step(config: Configuration, redex: Redex) -> Configuration:
 
 
 def _assert_sort(config: Configuration, value: Value,
-                 info: ChannelInfo) -> None:
-    """Redundant dynamic check that the payload inhabits the channel sort."""
+                 info: ChannelInfo, span: Span) -> None:
+    """Redundant dynamic check that the payload at `span` inhabits the
+    channel sort."""
     sort = info.sort
     ok = True
     if isinstance(sort, T.CarriesChan):
@@ -648,7 +657,7 @@ def _assert_sort(config: Configuration, value: Value,
         raise EvalFault(
             f"payload {render_value(value)} does not inhabit sort "
             f"{sort} of channel '{info.name}'"
-        )
+        ).at(span)
 
 
 # ---------------------------------------------------------------------------

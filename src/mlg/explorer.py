@@ -151,6 +151,16 @@ class CanonicalState:
     soup: tuple[tuple, ...]
     store: tuple
     scopes: tuple[tuple, ...]
+    # tuples do not cache their hashes, so the state hashes its nested
+    # keys once, here, instead of on every set and dict operation
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.soup, self.store, self.scopes)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def canonicalize(config: Configuration) -> CanonicalState:
@@ -187,8 +197,10 @@ def canonicalize(config: Configuration) -> CanonicalState:
 @dataclass
 class StateGraph:
     initial: CanonicalState
-    # insertion-ordered: states in discovery order, which numbers DOT nodes
-    states: dict[CanonicalState, None] = field(default_factory=dict)
+    # insertion-ordered: states in discovery order, which numbers DOT
+    # nodes; each state maps to itself, so that edges share its object
+    states: dict[CanonicalState, CanonicalState] = field(
+        default_factory=dict)
     edges: list[tuple[CanonicalState, str, CanonicalState]] = field(
         default_factory=list
     )
@@ -246,7 +258,7 @@ def explore(
     config.trace = None  # traces are per path; explored states keep none
     initial = canonicalize(config)
     graph = StateGraph(initial)
-    graph.states[initial] = None
+    graph.states[initial] = initial
     queue: deque[tuple[Configuration, CanonicalState, int]] = deque(
         [(config, initial, 0)]
     )
@@ -268,13 +280,16 @@ def explore(
         for redex in redexes:
             succ = step(current, redex)
             succ_state = canonicalize(succ)
-            if succ_state not in graph.states:
-                if len(graph.states) >= max_states:
-                    # no room for the successor: this state stays
-                    # partly unexpanded
-                    graph.frontier.setdefault(state, set()).add("states")
-                    continue
-                graph.states[succ_state] = None
+            known = graph.states.get(succ_state)
+            if known is not None:
+                succ_state = known
+            elif len(graph.states) >= max_states:
+                # no room for the successor: this state stays partly
+                # unexpanded
+                graph.frontier.setdefault(state, set()).add("states")
+                continue
+            else:
+                graph.states[succ_state] = succ_state
                 queue.append((succ, succ_state, depth + 1))
             graph.edges.append((state, _edge_label(current, redex),
                                 succ_state))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .diagnostics import Diagnostic, MlgError
@@ -46,8 +47,15 @@ class PreludeDef:
     expected_type: S.CompType
 
 
+@cache
+def _parsed_prelude() -> S.Program:
+    """The prelude, parsed once per process. Every program shares its
+    nodes, and with them the code compiled for them on first evaluation."""
+    return parse_program(prelude_source(), "<prelude>")
+
+
 def prelude_program(block_size: int | None = None) -> S.Program:
-    program = parse_program(prelude_source(), "<prelude>")
+    program = _parsed_prelude()
     if block_size is not None:
         program = _override_block_size(program, block_size)
     return program

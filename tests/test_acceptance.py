@@ -307,6 +307,7 @@ def test_acceptance_7_congruence_laws(capsys):
 
 
 def test_acceptance_8_prelude_algebra(capsys):
+    start = time.monotonic()
     env = EMPTY_ENV
     for item in prelude_program().comp_defs():
         value = eval_comp(env, None, item.body, Fuel(FUEL_BOUND)).value
@@ -331,5 +332,6 @@ def test_acceptance_8_prelude_algebra(capsys):
         for b in range(1, 9):
             if ev(f"div_ceil {n} {b}") != -(-n // b):
                 violations += 1
+    elapsed = time.monotonic() - start
     report(capsys, 8, "prelude algebra", violations == 0,
-           f"{violations} violations")
+           f"{violations} violations, {elapsed:.1f}s")

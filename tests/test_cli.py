@@ -4,6 +4,7 @@ import pytest
 
 from conftest import demo_path
 
+from mlg import engine
 from mlg.cli import main
 
 
@@ -304,3 +305,41 @@ def test_check_records_format_diagnostics(capsys, tmp_path):
     assert code == 2
     record = json.loads(err.strip().splitlines()[0])
     assert record["severity"] == "error"
+
+
+# each program faults at run time at the payload, guard or def on line 2
+RUNTIME_FAULTS = {
+    "payload": ("chan c : nat\nsystem = c!(blockCount 300) . 0 | c?(y) . 0\n",
+                "2:13", "evaluation exceeded the 1000-step budget"),
+    "guard": ("chan c : nat\n"
+              "system = [blockCount 300 = 1] c!(1) . 0 | c?(y) . 0\n",
+              "2:11", "evaluation exceeded the 1000-step budget"),
+    "def": ("chan c : nat\ndef big = blockCount 300\n"
+            "system = c!(big) . 0 | c?(y) . 0\n",
+            "2:1", "evaluation exceeded the 1000-step budget"),
+    "sort": ("chan c : chan(nat)\nsystem = c!(4) . 0 | c?(x) . 0\n",
+             "2:13", "payload 4 does not inhabit sort chan(nat)"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+@pytest.mark.parametrize("case", sorted(RUNTIME_FAULTS))
+def test_runtime_faults_point_at_their_source(capsys, tmp_path, monkeypatch,
+                                              command, case):
+    # a small budget keeps the fuel faults fast
+    monkeypatch.setattr(engine, "DEFAULT_FUEL", 1000)
+    text, location, message = RUNTIME_FAULTS[case]
+    path = write(tmp_path, text)
+    code, out, err = invoke(capsys, command, path, "--unchecked")
+    assert code == 2
+    assert err.startswith(f"{path}:{location}: error: {message}")
+
+
+def test_runtime_fault_records_name_the_file_and_span(capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_FUEL", 1000)
+    path = write(tmp_path, RUNTIME_FAULTS["payload"][0])
+    code, out, err = invoke(capsys, "run", path, "--format", "records")
+    assert code == 2
+    record = json.loads(err)
+    assert (record["file"], record["line"], record["col"]) == (path, 2, 13)

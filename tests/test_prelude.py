@@ -107,3 +107,16 @@ def test_no_prelude_allows_redefinition():
     program = load_program("def add = z\nsystem = 0\n",
                            include_prelude=False)
     assert check_program(program).ok
+
+
+def test_programs_share_the_prelude_parsed_once():
+    first = load_program("def n = add 1 2\nsystem = 0\n")
+    second = load_program("system = 0\n")
+    count = len(prelude_program().defs)
+    assert count and all(a is b for a, b in zip(first.defs[:count],
+                                                   second.defs[:count]))
+    resized = load_program("system = 0\n", block_size=8)
+    shared = [a is b for a, b in zip(first.defs[:count], resized.defs)]
+    names = [d.name.text for d in resized.defs]
+    assert shared.count(False) == 1 and not shared[names.index("blockSize")]
+    assert ev("blockCount 10", prelude_env(8)) == NatVal(2)
