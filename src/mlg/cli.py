@@ -99,8 +99,11 @@ def _read_input(path: str) -> tuple[str, str]:
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _emit_diagnostics(diags, fmt: str) -> None:
+def _emit_diagnostics(diags, fmt: str, filename: str | None = None) -> None:
+    """Print diagnostics, placed in `filename` when one is given."""
     for diag in diags:
+        if filename is not None:
+            diag = replace(diag, filename=filename)
         if fmt == "records":
             print(json.dumps(diag.to_record(), sort_keys=True),
                   file=sys.stderr)
@@ -110,8 +113,7 @@ def _emit_diagnostics(diags, fmt: str) -> None:
 
 def _runtime_fault(exc: MlgError, filename: str, fmt: str) -> int:
     """Report a fault raised while running the input, in its file."""
-    _emit_diagnostics([replace(d, filename=filename)
-                       for d in exc.diagnostics], fmt)
+    _emit_diagnostics(exc.diagnostics, fmt, filename)
     return EXIT_CHECK
 
 
@@ -137,7 +139,7 @@ def _load_checked(args):
         result = check_program(program)
         annotations = result.obj_annotations
         if not result.ok:
-            _emit_diagnostics(result.diagnostics, args.fmt)
+            _emit_diagnostics(result.diagnostics, args.fmt, filename)
             raise SystemExit(EXIT_CHECK)
     return program, annotations, filename
 

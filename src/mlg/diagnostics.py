@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open byte range into a source text, with 1-based line/col."""
+class Span(NamedTuple):
+    """Half-open character range into a source text, with 1-based line/col.
+    A tuple, since the lexer builds one per token."""
 
     start: int = 0
     end: int = 0

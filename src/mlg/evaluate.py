@@ -178,25 +178,21 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
             return env.lookup(name)
         return free
 
-    if isinstance(e, (S.Zero, S.Succ)):
-        # compact numerals: count the whole succ-chain without recursing
-        n = 0
-        while isinstance(e, S.Succ):
-            n += 1
-            e = e.arg
-        if isinstance(e, S.Zero):
-            value = _nat(n)
+    if isinstance(e, S.NatLit):
+        value = _nat(e.n)
 
-            def constant(env, frame, store, fuel):
-                return value
-            return constant
-        inner = _compile(e, scope)
+        def constant(env, frame, store, fuel):
+            return value
+        return constant
+
+    if isinstance(e, S.Succ):
+        inner = _compile(e.arg, scope)
 
         def succ(env, frame, store, fuel):
             v = inner(env, frame, store, fuel)
             if not isinstance(v, NatVal):
                 raise EvalFault("succ applied to a non-natural")
-            return _nat(v.n + n)
+            return _nat(v.n + 1)
         return succ
 
     if isinstance(e, S.Lambda):

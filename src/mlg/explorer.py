@@ -88,8 +88,8 @@ def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
             return ("upd", walk(node.target, env, bound),
                     tuple((lab.text, walk(e, env, bound))
                           for lab, e in node.updates))
-        if isinstance(node, S.Zero):
-            return ("z",)
+        if isinstance(node, S.NatLit):
+            return ("lit", node.n)
         if isinstance(node, S.Succ):
             return ("s", walk(node.arg, env, bound))
         if isinstance(node, S.Rec):

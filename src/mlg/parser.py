@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, MlgError, Span
 from . import syntax as S
@@ -13,12 +14,8 @@ KEYWORDS = {
     "new", "in", "def", "chan", "proc", "system",
 }
 
-SYMBOLS = ["->", "<=", "(", ")", "[", "]", "{", "}",
-           ".", ",", ":", "!", "?", "+", "|", "="]
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "number", a keyword, a symbol, or "eof"
     text: str
     span: Span
@@ -30,65 +27,45 @@ class ParseFailure(Exception):
         super().__init__(message)
 
 
+# One alternative per token class, tried in order; `--` starts a comment
+# before `->` is tried. Words and digits are ASCII only, and any other
+# character is `bad`.
+_TOKEN = re.compile(r"""
+    (?P<skip> [ \t\r\n]+ | --[^\n]* )
+  | (?P<word> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<number> [0-9]+ )
+  | (?P<symbol> -> | <= | [()\[\]{}.,:!?+|=] )
+  | (?P<bad> . )
+""", re.VERBOSE | re.DOTALL)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    append = tokens.append
+    # line_start is the offset just past the last newline; a token's col
+    # is counted from it
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span()
+        if kind == "skip":
+            newlines = text.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, end) + 1
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        span_start, span_line, span_col = i, line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(
-                Token(kind, word, Span(span_start, j, span_line, span_col))
-            )
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            tokens.append(
-                Token("number", word, Span(span_start, j, span_line, span_col))
-            )
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                advance(len(sym))
-                tokens.append(
-                    Token(sym, sym, Span(span_start, i, span_line, span_col))
-                )
-                break
+        word = m.group()
+        span = Span(start, end, line, start - line_start + 1)
+        if kind == "word":
+            append(Token(word if word in KEYWORDS else "ident", word, span))
+        elif kind == "number":
+            append(Token("number", word, span))
+        elif kind == "symbol":
+            append(Token(word, word, span))
         else:
-            raise ParseFailure(
-                f"unexpected character {ch!r}",
-                Span(span_start, span_start + 1, span_line, span_col),
-            )
-    tokens.append(Token("eof", "", Span(n, n, line, col)))
+            raise ParseFailure(f"unexpected character {word!r}", span)
+    n = len(text)
+    append(Token("eof", "", Span(n, n, line, n - line_start + 1)))
     return tokens
 
 
@@ -106,25 +83,29 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self.tokens[self.pos]  # never past the eof token
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "eof":
             self.pos += 1
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind == kind
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             raise ParseFailure(
                 f"expected '{kind}', found '{tok.text or 'end of input'}'",
                 tok.span,
             )
-        return self.next()
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     def error(self, message: str, span: Span | None = None):
         self.diagnostics.append(
@@ -255,16 +236,16 @@ class Parser:
         tok = self.peek()
         if tok.kind == "z":
             self.next()
-            return S.Zero(tok.span)
+            return S.NatLit(0, tok.span)
         if tok.kind == "number":
             self.next()
-            return S.numeral(int(tok.text), tok.span)
+            return S.NatLit(int(tok.text), tok.span)
         if tok.kind == "succ":
             self.next()
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return S.Succ(arg, tok.span)
+            return S.succ(arg, tok.span)
         if tok.kind == "ident":
             self.next()
             return S.Var(S.Name(tok.text, S.VARIABLE, tok.span), tok.span)
@@ -478,41 +459,39 @@ class Parser:
             self._check_proc_refs(p.body, defined)
 
 
-def _run(parser: Parser, production) -> object:
+def _run(text: str, filename: str, production) -> object:
+    """Parse `text` with `production`, a `Parser` method."""
+    diagnostics: list[Diagnostic] = []
     try:
-        result = production()
+        parser = Parser(text, filename)  # lexing may fail too
+        diagnostics = parser.diagnostics
+        result = production(parser)
         parser.expect("eof")
     except ParseFailure as exc:
         diag = Diagnostic(
-            exc.diagnostic.message, exc.diagnostic.span,
-            filename=parser.filename,
+            exc.diagnostic.message, exc.diagnostic.span, filename=filename,
         )
-        raise MlgError(parser.diagnostics + [diag]) from None
-    if parser.diagnostics:
-        raise MlgError(parser.diagnostics)
+        raise MlgError(diagnostics + [diag]) from None
+    if diagnostics:
+        raise MlgError(diagnostics)
     return result
 
 
 def parse_program(text: str, filename: str = "<input>") -> S.Program:
-    parser = Parser(text, filename)
-    return _run(parser, parser.parse_program)
+    return _run(text, filename, Parser.parse_program)
 
 
 def parse_comp_expr(text: str, filename: str = "<input>") -> S.CompExpr:
-    parser = Parser(text, filename)
-    return _run(parser, parser.parse_expr)
+    return _run(text, filename, Parser.parse_expr)
 
 
 def parse_payload(text: str, filename: str = "<input>") -> S.Payload:
-    parser = Parser(text, filename)
-    return _run(parser, parser.parse_payload)
+    return _run(text, filename, Parser.parse_payload)
 
 
 def parse_proc_term(text: str, filename: str = "<input>") -> S.ProcTerm:
-    parser = Parser(text, filename)
-    return _run(parser, parser.parse_proc)
+    return _run(text, filename, Parser.parse_proc)
 
 
 def parse_type(text: str, filename: str = "<input>") -> S.CompType:
-    parser = Parser(text, filename)
-    return _run(parser, parser.parse_type)
+    return _run(text, filename, Parser.parse_type)

@@ -63,7 +63,7 @@ def prelude_program(block_size: int | None = None) -> S.Program:
 
 def _override_block_size(program: S.Program, block_size: int) -> S.Program:
     defs = tuple(
-        S.DefDef(item.name, S.numeral(block_size), item.span)
+        S.DefDef(item.name, S.NatLit(block_size), item.span)
         if isinstance(item, S.DefDef) and item.name.text == "blockSize"
         else item
         for item in program.defs

@@ -41,12 +41,9 @@ _EXPR, _APP, _POSTFIX = 0, 1, 2
 def _expr(e, level: int) -> str:
     if isinstance(e, S.Var):
         return e.name.text
-    if isinstance(e, S.Zero):
-        return "z"
+    if isinstance(e, S.NatLit):
+        return str(e.n) if e.n else "z"
     if isinstance(e, S.Succ):
-        n = S.as_numeral(e)
-        if n is not None:
-            return str(n)
         return f"succ({_expr(e.arg, _EXPR)})"
     if isinstance(e, S.Lambda):
         text = (

@@ -99,7 +99,10 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Zero:
+class NatLit:
+    """A natural-number literal: `z`, a decimal numeral, or `succ` of one."""
+
+    n: int
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 
@@ -145,24 +148,15 @@ class FieldSel:
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 
-CompExpr = Var | Zero | Succ | Rec | Lambda | App | FieldSel
+CompExpr = Var | NatLit | Succ | Rec | Lambda | App | FieldSel
 
 
-def numeral(n: int, span: Span = DUMMY_SPAN) -> CompExpr:
-    """Iterated-succ representation of a literal natural."""
-    e: CompExpr = Zero(span)
-    for _ in range(n):
-        e = Succ(e, span)
-    return e
-
-
-def as_numeral(e: CompExpr) -> int | None:
-    """Inverse of `numeral` on succ-chains ending in zero, else None."""
-    n = 0
-    while isinstance(e, Succ):
-        n += 1
-        e = e.arg
-    return n if isinstance(e, Zero) else None
+def succ(arg: CompExpr, span: Span = DUMMY_SPAN) -> CompExpr:
+    """`succ(arg)` in normal form: the successor of a literal is a literal,
+    so `succ(2)`, `3` and `succ(succ(succ(z)))` are one node."""
+    if isinstance(arg, NatLit):
+        return NatLit(arg.n + 1, span)
+    return Succ(arg, span)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
         if ty is None:
             raise TypeError_(f"unbound variable '{e.name}'", e.span)
         return ty
-    if isinstance(e, S.Zero):
+    if isinstance(e, S.NatLit):
         return S.NAT
     if isinstance(e, S.Succ):
         arg = infer_comp(env, e.arg)

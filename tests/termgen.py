@@ -41,7 +41,7 @@ def gen_expr(
         if candidates:
             return S.Var(S.Name(rng.choice(candidates)))
         if target == S.NAT:
-            return S.numeral(rng.randrange(MAX_NUMERAL + 1))
+            return S.NatLit(rng.randrange(MAX_NUMERAL + 1))
         # arrow at the leaf: smallest eta-style function
         param = _fresh(rng, "p", used)
         body_env = dict(env)
@@ -65,7 +65,7 @@ def gen_expr(
 
     # target is nat
     if roll < 0.35:
-        return S.Succ(gen_expr(rng, S.NAT, depth - 1, env))
+        return S.succ(gen_expr(rng, S.NAT, depth - 1, env))
     if roll < 0.6 and depth >= 2:
         # application: synthesize a function and an argument
         dom = gen_type(rng, 1)
@@ -74,7 +74,7 @@ def gen_expr(
         return S.App(fn, arg)
     if roll < 0.85 and depth >= 2:
         # recursor; scrutinee kept a small numeral so unfolding is bounded
-        scrut: S.CompExpr = S.numeral(rng.randrange(MAX_NUMERAL + 1))
+        scrut: S.CompExpr = S.NatLit(rng.randrange(MAX_NUMERAL + 1))
         succ_binder = _fresh(rng, "n", used)
         rec_binder = _fresh(rng, "r", used | {succ_binder.text})
         branch_env = dict(env)
@@ -87,7 +87,7 @@ def gen_expr(
             rec_binder,
             gen_expr(rng, target, depth - 1, branch_env),
         )
-    return S.numeral(rng.randrange(MAX_NUMERAL + 1))
+    return S.NatLit(rng.randrange(MAX_NUMERAL + 1))
 
 
 def gen_closed_nat_term(rng: random.Random, depth: int = 8) -> S.CompExpr:
@@ -105,7 +105,7 @@ def gen_action(
 ) -> S.ProcAction:
     chan = S.Name(rng.choice(chans), S.CHANNEL)
     if rng.random() < 0.5:
-        payload = S.CompPayload(S.numeral(rng.randrange(3)))
+        payload = S.CompPayload(S.NatLit(rng.randrange(3)))
         action: S.ProcAction = S.Send(chan, payload)
     else:
         binder = _fresh(rng, "v", binders)
@@ -113,7 +113,7 @@ def gen_action(
     if rng.random() < 0.15:
         k = rng.randrange(3)
         action = S.Match(
-            S.CompPayload(S.numeral(k)), S.CompPayload(S.numeral(k)), action
+            S.CompPayload(S.NatLit(k)), S.CompPayload(S.NatLit(k)), action
         )
     return action
 

@@ -343,3 +343,49 @@ def test_runtime_fault_records_name_the_file_and_span(capsys, tmp_path,
     assert code == 2
     record = json.loads(err)
     assert (record["file"], record["line"], record["col"]) == (path, 2, 13)
+
+
+# no token holds a character outside ASCII, not even a Unicode letter or digit
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("text, col", [
+    ("def a = ²\n", 9), ("def café = z\n", 8), ("def a = ٣\n", 9),
+], ids=["superscript-digit", "letter", "arabic-indic-digit"])
+def test_non_ascii_is_an_unexpected_character(capsys, tmp_path, text, col,
+                                              fmt):
+    path = write(tmp_path, text)
+    code, out, err = invoke(capsys, "check", path, "--format", fmt)
+    assert code == 2
+    if fmt == "records":
+        record = json.loads(err)
+        assert (record["file"], record["line"], record["col"]) == (path, 1,
+                                                                    col)
+        assert record["message"].startswith("unexpected character")
+    else:
+        assert err.startswith(f"{path}:1:{col}: error: unexpected character")
+
+
+@pytest.mark.parametrize("command", ["check", "run", "explore"])
+def test_static_check_diagnostics_name_the_file(capsys, tmp_path, command):
+    path = write(tmp_path, "chan c : nat\nsystem = c!(add 1) . 0\n")
+    code, out, err = invoke(capsys, command, path)
+    assert code == 2
+    assert err.startswith(f"{path}:2:10: error: channel 'c' carries nat")
+
+
+BIG_NUMERAL = "chan c : nat\nsystem = c!(1000000) . 0 | c?(x) . 0\n"
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("check", ""),
+    ("fmt", BIG_NUMERAL),
+    ("run", "#0 comm c(1000000) pid0->pid1\n#1 terminated\n"),
+    ("explore", "states=2 edges=1 deadlocks=0 terminals=1 frontier=0\n"),
+])
+def test_big_numerals_are_one_literal(capsys, tmp_path, command, expected):
+    path = write(tmp_path, BIG_NUMERAL)
+    assert invoke(capsys, command, path) == (0, expected, "")
+
+
+def test_big_numeral_argument_checks(capsys, tmp_path):
+    path = write(tmp_path, "def a = add 100000 1\nsystem = 0\n")
+    assert invoke(capsys, "check", path) == (0, "", "")

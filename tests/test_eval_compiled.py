@@ -29,17 +29,13 @@ from termgen import gen_closed_nat_term, gen_expr, gen_type
 def walk(env, store, e, fuel):
     if isinstance(e, S.Var):
         return env.lookup(e.name.text)
-    if isinstance(e, S.Zero):
-        return NatVal(0)
+    if isinstance(e, S.NatLit):
+        return NatVal(e.n)
     if isinstance(e, S.Succ):
-        n = 0
-        while isinstance(e, S.Succ):
-            n += 1
-            e = e.arg
-        inner = walk(env, store, e, fuel)
+        inner = walk(env, store, e.arg, fuel)
         if not isinstance(inner, NatVal):
             raise EvalFault("succ applied to a non-natural")
-        return NatVal(inner.n + n)
+        return NatVal(inner.n + 1)
     if isinstance(e, S.Lambda):
         return Closure(e.param, e.param_type, e.body, env)
     if isinstance(e, S.App):
@@ -139,9 +135,9 @@ def closure_terms(rng: random.Random, count: int):
         if rng.random() < 0.5:
             body = gen_expr(rng, ty, 4, {"x0": S.NAT})
             yield ty, S.App(S.Lambda(x, S.NAT, body),
-                            S.numeral(rng.randrange(4)))
+                            S.NatLit(rng.randrange(4)))
         else:
-            yield ty, S.Rec(S.numeral(rng.randrange(4)),
+            yield ty, S.Rec(S.NatLit(rng.randrange(4)),
                             gen_expr(rng, ty, 3),
                             n, r, gen_expr(rng, ty, 3,
                                            {"n0": S.NAT, "r0": ty}))
@@ -151,7 +147,7 @@ def test_closures_capture_the_same_bindings():
     rng = random.Random(7)
     for ty, term in closure_terms(rng, 300):
         assert agree(EMPTY_ENV, None, term)[0] == "value"
-        arg = S.numeral(2) if ty.domain == S.NAT else S.Lambda(
+        arg = S.NatLit(2) if ty.domain == S.NAT else S.Lambda(
             S.Name("a0"), S.NAT, S.Var(S.Name("a0")))
         agree(EMPTY_ENV, None, S.App(term, arg))
 
@@ -204,7 +200,7 @@ def test_recursors_whose_branch_reads_a_variable(prelude_env, branch):
 
 def test_faults_are_the_same():
     x, n, r = S.Name("x"), S.Name("n"), S.Name("r")
-    one, ident = S.numeral(1), S.Lambda(x, S.NAT, S.Var(x))
+    one, ident = S.NatLit(1), S.Lambda(x, S.NAT, S.Var(x))
     for e in (S.Var(S.Name("ghost")), S.App(one, one), S.Succ(ident),
               S.Rec(ident, one, n, r, one),
               S.FieldSel(one, S.Name("size")),
@@ -215,13 +211,13 @@ def test_faults_are_the_same():
 
 def test_a_fault_in_a_body_comes_after_its_tick():
     x, n, r = S.Name("x"), S.Name("n"), S.Name("r")
-    one, ident = S.numeral(1), S.Lambda(x, S.NAT, S.Var(x))
+    one, ident = S.NatLit(1), S.Lambda(x, S.NAT, S.Var(x))
     succ_of_arg = S.Lambda(x, S.NAT, S.Succ(S.Var(x)))
     for e, ticks in ((S.App(succ_of_arg, ident), 1),
                      (S.App(ident, S.App(succ_of_arg, ident)), 1),
-                     (S.Rec(S.numeral(3), one, n, r, S.App(S.Var(r), one)),
+                     (S.Rec(S.NatLit(3), one, n, r, S.App(S.Var(r), one)),
                       1),
-                     (S.Rec(S.numeral(3), ident, n, r,
+                     (S.Rec(S.NatLit(3), ident, n, r,
                             S.App(S.Var(r), S.Var(n))), 3)):
         kind, _, _, used = agree(EMPTY_ENV, None, e)
         assert kind == "fault" and used == ticks

@@ -1,0 +1,133 @@
+"""The regex lexer against the character-by-character lexer it replaced.
+
+`char_tokenize` below is that lexer, kept only as the reference: it moves
+through the text one character at a time and counts lines and columns as it
+goes. Both must give the same (kind, text, start, end, line, col) tuples,
+the eof token included.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from conftest import DEMOS
+
+from mlg import syntax as S
+from mlg.diagnostics import MlgError
+from mlg.parser import KEYWORDS, parse_program, tokenize
+from mlg.prelude import prelude_source
+from mlg.pretty import pretty_expr, pretty_program
+
+from termgen import gen_closed_nat_term, gen_proc, proc_program
+
+SYMBOLS = ["->", "<=", "(", ")", "[", "]", "{", "}",
+           ".", ",", ":", "!", "?", "+", "|", "="]
+
+
+def char_tokenize(text):
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def advance(k):
+        nonlocal i, line, col
+        for _ in range(k):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                advance(1)
+            continue
+        start, start_line, start_col = i, line, col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            advance(j - i)
+            kind = word if word in KEYWORDS else "ident"
+            tokens.append((kind, word, start, j, start_line, start_col))
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            advance(j - i)
+            tokens.append(("number", text[start:j], start, j, start_line,
+                           start_col))
+            continue
+        for sym in SYMBOLS:
+            if text.startswith(sym, i):
+                advance(len(sym))
+                tokens.append((sym, sym, start, i, start_line, start_col))
+                break
+        else:
+            raise ValueError(f"unexpected character {ch!r}")
+    tokens.append(("eof", "", n, n, line, col))
+    return tokens
+
+
+def flat(tokens):
+    return [(t.kind, t.text, *t.span) for t in tokens]
+
+
+def assert_same_tokens(text):
+    assert flat(tokenize(text)) == char_tokenize(text)
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.mlg")),
+                         ids=lambda p: p.name)
+def test_demo_tokens_match_char_lexer(path):
+    assert_same_tokens(Path(path).read_text(encoding="utf-8"))
+
+
+def test_prelude_tokens_match_char_lexer():
+    assert_same_tokens(prelude_source())
+
+
+def test_generated_program_tokens_match_char_lexer():
+    rng = random.Random(5)
+    for _ in range(100):
+        assert_same_tokens(pretty_program(proc_program(gen_proc(rng, 5))))
+        assert_same_tokens(pretty_expr(gen_closed_nat_term(rng)))
+
+
+@pytest.mark.parametrize("text", [
+    "def a = z\r\nsystem = 0\r\n",
+    "\tdef\ta =\t\tsucc(z)\n\t system = 0",
+    "def f = fun (x : nat) x --> not an arrow\nsystem = 0\n",
+    "def a = z -- no newline at the end",
+    "--",
+    "",
+    "\n",
+    "system = 0\n",
+    "a->b<=c-- c\n\n\n  x",
+], ids=["crlf", "tabs", "comment-arrow", "comment-at-eof", "bare-comment",
+        "empty", "newline", "trailing-newline", "dense"])
+def test_hand_cases_match_char_lexer(text):
+    assert_same_tokens(text)
+
+
+def test_unexpected_character_is_located_on_its_line():
+    with pytest.raises(MlgError) as exc:
+        parse_program("def a = z\n  -1\n", "f.mlg")
+    assert exc.value.diagnostics[-1].render() == (
+        "f.mlg:2:3: error: unexpected character '-'")
+
+
+def test_literal_nodes_keep_their_spans():
+    text = "def a = succ(41)\ndef b = 1000000\n"
+    a, b = (d.body for d in parse_program(text).comp_defs())
+    assert a == S.NatLit(42) and text[a.span.start:a.span.end] == "succ"
+    assert b == S.NatLit(10**6) and (b.span.line, b.span.col) == (2, 9)

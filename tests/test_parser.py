@@ -14,12 +14,16 @@ from termgen import gen_closed_nat_term, gen_proc
 
 
 def test_zero_parses():
-    assert parse_comp_expr("z") == S.Zero()
+    assert parse_comp_expr("z") == S.NatLit(0)
 
 
 def test_numeral_desugars_to_iterated_succ():
-    assert parse_comp_expr("3") == S.Succ(S.Succ(S.Succ(S.Zero())))
-    assert parse_comp_expr("0") == S.Zero()
+    # iterated succ of a literal folds into one literal node
+    for text in ("3", "succ(2)", "succ(succ(succ(z)))", "succ(succ(1))"):
+        assert parse_comp_expr(text) == S.NatLit(3)
+    assert parse_comp_expr("0") == S.NatLit(0)
+    x = S.Var(S.Name("x"))
+    assert parse_comp_expr("succ(succ(x))") == S.Succ(S.Succ(x))
 
 
 def test_file_object_literal():
@@ -30,7 +34,7 @@ def test_file_object_literal():
     assert [lab.text for lab, _ in make.fields] == [
         "size", "creation", "permissions"
     ]
-    assert make.fields[0][1] == S.Zero()
+    assert make.fields[0][1] == S.NatLit(0)
 
 
 def test_write_reserve_pipeline():
@@ -50,7 +54,7 @@ def test_write_reserve_pipeline():
 
 
 def test_pretty_trivia():
-    assert pretty(S.Zero()) == "z"
+    assert pretty(S.NatLit(0)) == "z"
     assert pretty(S.Par(S.Nil(), S.Nil())) == "0 | 0"
 
 
@@ -185,3 +189,10 @@ def test_fmt_idempotent_on_random_programs():
         )
         once = pretty_program(program)
         assert pretty_program(parse_program(once)) == once
+
+
+def test_roundtrip_over_500_generated_terms():
+    rng = random.Random(2024)
+    for _ in range(500):
+        term = gen_closed_nat_term(rng, depth=8)
+        assert parse_comp_expr(pretty_expr(term)) == term
