@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from .diagnostics import MlgError
+from .diagnostics import Diagnostic, MlgError
 from .engine import DEADLOCK, STEP_LIMIT, TERMINATED, render_trace, run
 from .explorer import explore, find_deadlocks
 from .prelude import load_program
@@ -130,9 +130,10 @@ def _load_checked(args):
     except MlgError as exc:
         _emit_diagnostics(exc.diagnostics, args.fmt)
         raise SystemExit(EXIT_CHECK) from None
-    if args.no_repl and program.uses_replication():
-        print(f"{filename}:1:1: error: replication is disabled (--no-repl)",
-              file=sys.stderr)
+    if args.no_repl and (repl := program.first_repl()):
+        _emit_diagnostics(
+            [Diagnostic("replication is disabled (--no-repl)", repl.span)],
+            args.fmt, filename)
         raise SystemExit(EXIT_CHECK)
     annotations = {}
     if not args.unchecked:

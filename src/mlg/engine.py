@@ -148,9 +148,9 @@ class Configuration:
 @dataclass(frozen=True)
 class Comm:
     sender_pid: int
-    sender_path: tuple[str, ...]
+    sender_path: tuple[int, ...]  # () for a prefix, (i,) for operand i
     receiver_pid: int
-    receiver_path: tuple[str, ...]
+    receiver_path: tuple[int, ...]
     chan_id: int
     token: int
 
@@ -252,8 +252,8 @@ def _normalize(
     name bound to the ChanRef that bind(restriction) returns."""
     out = [] if out is None else out
     if isinstance(term, S.Par):
-        _normalize(config, term.left, env, bind, out)
-        _normalize(config, term.right, env, bind, out)
+        for operand in term.operands:
+            _normalize(config, operand, env, bind, out)
     elif isinstance(term, S.Restrict):
         env = env.extend(term.chan.text, bind(term))
         _normalize(config, term.body, env, bind, out)
@@ -326,7 +326,7 @@ def initial_configuration(
 
 @dataclass(frozen=True)
 class Offer:
-    path: tuple[str, ...]
+    path: tuple[int, ...]
     action: S.ProcAction  # Send or Receive (guards already passed)
     chan_id: int
     continuation: S.ProcTerm
@@ -334,7 +334,7 @@ class Offer:
 
 def _action_offer(
     config: Configuration, env: ValueEnv, action: S.ProcAction,
-    path: tuple[str, ...], continuation: S.ProcTerm,
+    path: tuple[int, ...], continuation: S.ProcTerm,
 ) -> Offer | None:
     while isinstance(action, S.Match):
         left, _ = eval_payload(config, env, action.left, mutate=False)
@@ -358,18 +358,18 @@ def _values_comparable(a: Value, b: Value) -> bool:
 
 def _term_offers(
     config: Configuration, term: S.ProcTerm, env: ValueEnv,
-    path: tuple[str, ...] = (),
 ) -> list[Offer]:
     if isinstance(term, S.Prefix):
-        offer = _action_offer(config, env, term.action, path,
-                              term.continuation)
+        offer = _action_offer(config, env, term.action, (), term.continuation)
         return [offer] if offer is not None else []
-    if isinstance(term, S.Sum):
-        return (
-            _term_offers(config, term.left, env, path + ("L",))
-            + _term_offers(config, term.right, env, path + ("R",))
-        )
-    return []
+    offers = []
+    for i, op in enumerate(term.operands if isinstance(term, S.Sum) else ()):
+        if isinstance(op, S.Prefix):
+            offer = _action_offer(config, env, op.action, (i,),
+                                  op.continuation)
+            if offer is not None:
+                offers.append(offer)
+    return offers
 
 
 def member_offers(config: Configuration, member: SoupMember) -> list[Offer]:
@@ -380,7 +380,7 @@ def _guarded(term: S.ProcTerm) -> bool:
     """True when one of the term's offers waits on a match guard; a guard
     can read object fields, so its outcome can change when the store does."""
     if isinstance(term, S.Sum):
-        return _guarded(term.left) or _guarded(term.right)
+        return any(map(_guarded, term.operands))
     return isinstance(term, S.Prefix) and isinstance(term.action, S.Match)
 
 
@@ -551,10 +551,9 @@ def enabled_redexes(config: Configuration) -> list[Redex]:
 # Stepping
 
 
-def _select_branch(term: S.ProcTerm, path: tuple[str, ...]) -> S.Prefix:
-    for step in path:
-        assert isinstance(term, S.Sum)
-        term = term.left if step == "L" else term.right
+def _select_branch(term: S.ProcTerm, path: tuple[int, ...]) -> S.Prefix:
+    if path:
+        term = term.operands[path[0]]
     assert isinstance(term, S.Prefix)
     return term
 

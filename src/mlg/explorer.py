@@ -44,28 +44,35 @@ def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
                     return walk(value, env, bound)
             return ("v", node.text)
         if isinstance(node, S.Prefix):
-            action, guards = node.action, []
-            while isinstance(action, S.Match):
-                guards.append((walk(action.left, env, bound),
-                               walk(action.right, env, bound)))
-                action = action.inner
-            chan = walk(action.chan, env, bound)
-            if isinstance(action, S.Send):
-                return ("!", tuple(guards), chan,
-                        walk(action.payload, env, bound),
-                        walk(node.continuation, env, bound))
-            binder = action.binder.text
-            return ("?", tuple(guards), chan, binder,
-                    walk(node.continuation, env, bound | {binder}))
+            heads = []  # keys without their continuation's, folded in below
+            while isinstance(node, S.Prefix):
+                action, guards = node.action, []
+                while isinstance(action, S.Match):
+                    guards.append((walk(action.left, env, bound),
+                                   walk(action.right, env, bound)))
+                    action = action.inner
+                chan = walk(action.chan, env, bound)
+                if isinstance(action, S.Send):
+                    heads.append(("!", tuple(guards), chan,
+                                  walk(action.payload, env, bound)))
+                else:
+                    binder = action.binder.text
+                    heads.append(("?", tuple(guards), chan, binder))
+                    bound = bound | {binder}
+                node = node.continuation
+            key = walk(node, env, bound)
+            for head in reversed(heads):
+                key = (*head, key)
+            return key
         if isinstance(node, S.Sum):
-            operands = []
-            for side in (node.left, node.right):
-                key = walk(side, env, bound)
-                operands.extend(key[1] if key[0] == "+" else (key,))
-            return ("+", tuple(sorted(operands)))
+            return ("+", tuple(sorted(walk(op, env, bound)
+                                      for op in node.operands)))
         if isinstance(node, S.Par):
-            return ("|", *sorted((walk(node.left, env, bound),
-                                  walk(node.right, env, bound))))
+            # folded from the left into binary keys, as if `(a | b) | c`
+            key = walk(node.operands[0], env, bound)
+            for operand in node.operands[1:]:
+                key = ("|", *sorted((key, walk(operand, env, bound))))
+            return key
         if isinstance(node, S.Nil):
             return ("0",)
         if isinstance(node, S.Restrict):

@@ -79,6 +79,7 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
+        self.proc_refs: list[S.ProcRef] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -313,25 +314,46 @@ class Parser:
     # -- processes ---------------------------------------------------------
 
     def parse_proc(self) -> S.ProcTerm:
-        term = self.parse_sum()
+        operands = [self.parse_sum()]
         while self.at("|"):
             self.next()
-            term = S.Par(term, self.parse_sum(), term.span)
-        return term
+            operands.append(self.parse_sum())
+        if len(operands) == 1:
+            return operands[0]
+        return S.Par(tuple(operands), operands[0].span)
 
     def parse_sum(self) -> S.ProcTerm:
         term = self.parse_prefixed()
-        while self.at("+"):
-            plus = self.next()
-            right = self.parse_prefixed()
-            for side in (term, right):
-                if not S.is_guarded(side):
-                    self.error("unguarded sum operand", side.span)
-            term = S.Sum(term, right, plus.span)
-        return term
+        if not self.at("+"):
+            return term
+        plus_span, operands = self.peek().span, []
+        while True:
+            if isinstance(term, S.Sum):  # a parenthesized sum
+                operands.extend(term.operands)
+            elif isinstance(term, (S.Nil, S.Prefix)):
+                operands.append(term)
+            else:
+                self.error("unguarded sum operand", term.span)
+            if not self.at("+"):
+                return S.Sum(tuple(operands), plus_span)
+            self.next()
+            term = self.parse_prefixed()
 
     def parse_prefixed(self) -> S.ProcTerm:
-        tok = self.peek()
+        # a chain of actions is collected, then folded from its end
+        heads, tok = [], self.peek()
+        while tok.kind == "[" or (
+            tok.kind == "ident" and self.peek(1).kind in ("!", "?")
+        ):
+            heads.append((self.parse_action(), tok.span))
+            self.expect(".")
+            tok = self.peek()
+        term = self.parse_unprefixed(tok)
+        for action, span in reversed(heads):
+            term = S.Prefix(action, term, span)
+        return term
+
+    def parse_unprefixed(self, tok: Token) -> S.ProcTerm:
         if tok.kind == "number":
             if tok.text != "0":
                 raise ParseFailure(
@@ -355,18 +377,11 @@ class Parser:
             term = self.parse_proc()
             self.expect(")")
             return term
-        if tok.kind == "[":
-            action = self.parse_action()
-            self.expect(".")
-            return S.Prefix(action, self.parse_prefixed(), tok.span)
         if tok.kind == "ident":
-            nxt = self.peek(1).kind
-            if nxt in ("!", "?"):
-                action = self.parse_action()
-                self.expect(".")
-                return S.Prefix(action, self.parse_prefixed(), tok.span)
             self.next()
-            return S.ProcRef(S.Name(tok.text, S.VARIABLE, tok.span), tok.span)
+            ref = S.ProcRef(S.Name(tok.text, S.VARIABLE, tok.span), tok.span)
+            self.proc_refs.append(ref)
+            return ref
         raise ParseFailure(
             f"expected a process, found '{tok.text or 'end of input'}'",
             tok.span,
@@ -408,6 +423,12 @@ class Parser:
                 self.error(f"duplicate definition of '{name}'", name.span)
             top_names[name.text] = name.span
 
+        def resolve_refs():  # those of the item just parsed
+            for ref in self.proc_refs:
+                if ref.name.text not in proc_names:
+                    self.error(f"unbound process name '{ref.name}'", ref.span)
+            self.proc_refs.clear()
+
         while not self.at("eof"):
             tok = self.peek()
             if tok.kind == "def":
@@ -428,7 +449,7 @@ class Parser:
                 declare(name)
                 self.expect("=")
                 body = self.parse_proc()
-                self._check_proc_refs(body, proc_names)
+                resolve_refs()
                 items.append(S.ProcDef(name, body, tok.span))
                 proc_names.add(name.text)
             elif tok.kind == "system":
@@ -437,7 +458,7 @@ class Parser:
                 if entry is not None:
                     self.error("duplicate 'system' entry", tok.span)
                 entry = self.parse_proc()
-                self._check_proc_refs(entry, proc_names)
+                resolve_refs()
             else:
                 raise ParseFailure(
                     f"expected a top-level item, found "
@@ -445,18 +466,6 @@ class Parser:
                     tok.span,
                 )
         return S.Program(tuple(items), entry)
-
-    def _check_proc_refs(self, p: S.ProcTerm, defined: set[str]) -> None:
-        if isinstance(p, S.ProcRef):
-            if p.name.text not in defined:
-                self.error(f"unbound process name '{p.name}'", p.span)
-        elif isinstance(p, (S.Sum, S.Par)):
-            self._check_proc_refs(p.left, defined)
-            self._check_proc_refs(p.right, defined)
-        elif isinstance(p, S.Prefix):
-            self._check_proc_refs(p.continuation, defined)
-        elif isinstance(p, (S.Restrict, S.Repl)):
-            self._check_proc_refs(p.body, defined)
 
 
 def _run(text: str, filename: str, production) -> object:

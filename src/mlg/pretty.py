@@ -115,19 +115,18 @@ def _proc(p: S.ProcTerm, level: int) -> str:
     if isinstance(p, S.ProcRef):
         return p.name.text
     if isinstance(p, S.Prefix):
-        return f"{_action(p.action)} . {_proc(p.continuation, _PREFIXED)}"
+        actions = []
+        while isinstance(p, S.Prefix):
+            actions.append(_action(p.action))
+            p = p.continuation
+        return " . ".join(actions) + f" . {_proc(p, _PREFIXED)}"
     if isinstance(p, S.Sum):
-        text = f"{_proc(p.left, _SUM)} + {_proc(p.right, _PREFIXED)}"
+        text = " + ".join(_proc(op, _PREFIXED) for op in p.operands)
         return f"({text})" if level > _SUM else text
     if isinstance(p, S.Par):
-        # operands at sum level: restrictions extend maximally rightward and
-        # must be parenthesized inside a parallel composition
-        left = (
-            _proc(p.left, _PAR)
-            if isinstance(p.left, S.Par)
-            else _proc(p.left, _SUM)
-        )
-        text = f"{left} | {_proc(p.right, _SUM)}"
+        # operands at sum level: restrictions extend maximally rightward,
+        # and a nested par came from parentheses, so both get them
+        text = " | ".join(_proc(op, _SUM) for op in p.operands)
         return f"({text})" if level > _PAR else text
     if isinstance(p, S.Repl):
         return f"!{_proc(p.body, _PREFIXED)}"

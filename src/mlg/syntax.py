@@ -6,7 +6,6 @@ round-trip law used throughout the tests.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .diagnostics import DUMMY_SPAN, Span
@@ -18,18 +17,12 @@ VARIABLE = "variable"
 FIELD_LABEL = "field-label"
 CHANNEL = "channel"
 
-_NAME_CHARS_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 @dataclass(frozen=True)
 class Name:
     text: str
     kind: str = field(default=VARIABLE, compare=False)
     span: Span = field(default=DUMMY_SPAN, compare=False)
-
-    def __post_init__(self):
-        if not _NAME_CHARS_OK.match(self.text):
-            raise ValueError(f"invalid name: {self.text!r}")
 
     def __str__(self) -> str:
         return self.text
@@ -263,15 +256,22 @@ class Prefix:
 
 @dataclass(frozen=True)
 class Sum:
-    left: ProcTerm
-    right: ProcTerm
+    """`+` is associative, so a sum is one flat node of guarded operands."""
+
+    operands: tuple[Nil | Prefix, ...]
     span: Span = field(default=DUMMY_SPAN, compare=False)
+
+    def __post_init__(self):
+        for op in self.operands:
+            if not isinstance(op, (Nil, Prefix)):
+                raise ValueError("unguarded sum operand")
 
 
 @dataclass(frozen=True)
 class Par:
-    left: ProcTerm
-    right: ProcTerm
+    """One node per unparenthesized `|` chain."""
+
+    operands: tuple[ProcTerm, ...]
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 
@@ -298,15 +298,6 @@ class ProcRef:
 
 
 ProcTerm = Nil | Prefix | Sum | Par | Restrict | Repl | ProcRef
-
-
-def is_guarded(p: ProcTerm) -> bool:
-    """Sum operands must be Nil, a prefix, or a sum of such."""
-    if isinstance(p, (Nil, Prefix)):
-        return True
-    if isinstance(p, Sum):
-        return is_guarded(p.left) and is_guarded(p.right)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +343,20 @@ class Program:
     def proc_defs(self) -> list[ProcDef]:
         return [d for d in self.defs if isinstance(d, ProcDef)]
 
-    def uses_replication(self) -> bool:
-        def walk(p: ProcTerm) -> bool:
-            if isinstance(p, Repl):
-                return True
-            if isinstance(p, (Sum, Par)):
-                return walk(p.left) or walk(p.right)
-            if isinstance(p, Prefix):
-                return walk(p.continuation)
-            if isinstance(p, Restrict):
-                return walk(p.body)
-            return False
-
+    def first_repl(self) -> Repl | None:
+        """The first replication in source order, if any."""
         terms = [d.body for d in self.proc_defs()]
         if self.entry is not None:
             terms.append(self.entry)
-        return any(walk(t) for t in terms)
+        stack = sorted(terms, key=lambda t: t.span.start)[::-1]
+        while stack:
+            p = stack.pop()
+            if isinstance(p, Repl):
+                return p
+            if isinstance(p, (Sum, Par)):
+                stack.extend(reversed(p.operands))
+            elif isinstance(p, Prefix):
+                stack.append(p.continuation)
+            elif isinstance(p, Restrict):
+                stack.append(p.body)
+        return None

@@ -330,35 +330,26 @@ def _check_proc(
     proc_env: dict[str, S.ProcTerm],
     annotations: dict[int, S.ObjType] | None,
 ) -> None:
+    # prefixes, restrictions and replications extend or keep the
+    # environment of the one term below them
+    while True:
+        if isinstance(p, S.Prefix):
+            env = _check_action(env, p.action, diags, annotations)
+            if env is None:
+                return
+            p = p.continuation
+        elif isinstance(p, S.Restrict):
+            env = env.with_chan(p.chan.text, p.chan_sort)
+            p = p.body
+        elif isinstance(p, S.Repl):
+            p = p.body
+        else:
+            break
     if isinstance(p, S.Nil):
         return
-    if isinstance(p, S.Prefix):
-        cont_env = _check_action(env, p.action, diags, annotations)
-        if cont_env is not None:
-            _check_proc(cont_env, p.continuation, diags, proc_env, annotations)
-        return
-    if isinstance(p, S.Sum):
-        for side in (p.left, p.right):
-            if not S.is_guarded(side):
-                diags.append(Diagnostic("unguarded sum operand", side.span))
-            else:
-                _check_proc(env, side, diags, proc_env, annotations)
-        return
-    if isinstance(p, S.Par):
-        _check_proc(env, p.left, diags, proc_env, annotations)
-        _check_proc(env, p.right, diags, proc_env, annotations)
-        return
-    if isinstance(p, S.Restrict):
-        _check_proc(
-            env.with_chan(p.chan.text, p.chan_sort),
-            p.body,
-            diags,
-            proc_env,
-            annotations,
-        )
-        return
-    if isinstance(p, S.Repl):
-        _check_proc(env, p.body, diags, proc_env, annotations)
+    if isinstance(p, (S.Sum, S.Par)):
+        for operand in p.operands:
+            _check_proc(env, operand, diags, proc_env, annotations)
         return
     if isinstance(p, S.ProcRef):
         if p.name.text not in proc_env:

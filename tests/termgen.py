@@ -125,10 +125,10 @@ def gen_guarded(
     if depth <= 0 or rng.random() < 0.3:
         return S.Nil()
     if rng.random() < 0.2:
-        return S.Sum(
-            gen_guarded(rng, depth - 1, binders, chans),
-            gen_guarded(rng, depth - 1, binders, chans),
-        )
+        sides = (gen_guarded(rng, depth - 1, binders, chans),
+                 gen_guarded(rng, depth - 1, binders, chans))
+        return S.Sum(tuple(op for side in sides for op in (
+            side.operands if isinstance(side, S.Sum) else (side,))))
     return S.Prefix(
         gen_action(rng, binders, chans),
         gen_proc(rng, depth - 1, binders, chans),
@@ -145,10 +145,10 @@ def gen_proc(
     if depth <= 0 or roll < 0.25:
         return S.Nil()
     if roll < 0.45:
-        return S.Par(
+        return S.Par((
             gen_proc(rng, depth - 1, binders, chans),
             gen_proc(rng, depth - 1, binders, chans),
-        )
+        ))
     if roll < 0.55:
         chan = _fresh(rng, "x", binders | set(chans))
         return S.Restrict(

@@ -166,7 +166,7 @@ def _instance_program(instance):
 
     entry = chain(instance[0])
     for seq in instance[1:]:
-        entry = S.Par(entry, chain(seq))
+        entry = S.Par((entry, chain(seq)))
     return S.Program(decls, entry)
 
 
@@ -254,12 +254,9 @@ def _rename_chan(term, old, new):
     if isinstance(term, S.Prefix):
         return S.Prefix(action(term.action), _rename_chan(
             term.continuation, old, new))
-    if isinstance(term, S.Sum):
-        return S.Sum(_rename_chan(term.left, old, new),
-                     _rename_chan(term.right, old, new))
-    if isinstance(term, S.Par):
-        return S.Par(_rename_chan(term.left, old, new),
-                     _rename_chan(term.right, old, new))
+    if isinstance(term, (S.Sum, S.Par)):
+        return type(term)(tuple(_rename_chan(op, old, new)
+                                for op in term.operands))
     if isinstance(term, S.Restrict):
         if term.chan.text == old:
             return term  # shadowed; nothing free to rename below
@@ -278,14 +275,14 @@ def test_acceptance_7_congruence_laws(capsys):
         p = gen_proc(rng, depth=4)
         q = gen_proc(rng, depth=4)
         checks = [
-            _canon(S.Par(p, S.Nil())) == _canon(p),  # unit
-            _canon(S.Par(p, q)) == _canon(S.Par(q, p)),  # commutativity
+            _canon(S.Par((p, S.Nil()))) == _canon(p),  # unit
+            _canon(S.Par((p, q))) == _canon(S.Par((q, p))),  # commutativity
         ]
         if i % 5 == 0:
             r = gen_proc(rng, depth=3)
             checks.append(  # associativity
-                _canon(S.Par(S.Par(p, q), r))
-                == _canon(S.Par(p, S.Par(q, r)))
+                _canon(S.Par((S.Par((p, q)), r)))
+                == _canon(S.Par((p, S.Par((q, r)))))
             )
             # idempotence: canonicalizing a configuration twice agrees
             checks.append(_canon(p) == _canon(p))

@@ -257,10 +257,18 @@ def test_stdin_input(capsys, monkeypatch):
 
 
 def test_no_repl_rejects_replication(capsys, tmp_path):
-    path = write(tmp_path, "chan c : nat\nsystem = !c?(x) . 0\n")
+    # reported once, at the first `!` in the source
+    path = write(tmp_path, "chan c : nat\n"
+                           "system = c!(1) . 0 | !c?(x) . 0 | !c!(2) . 0\n")
     code, out, err = invoke(capsys, "check", path, "--no-repl")
     assert code == 2
-    assert "replication is disabled" in err
+    assert err == f"{path}:2:22: error: replication is disabled (--no-repl)\n"
+    code, out, err = invoke(capsys, "check", path, "--no-repl",
+                            "--format", "records")
+    assert code == 2
+    record = json.loads(err)
+    assert (record["file"], record["line"], record["col"]) == (path, 2, 22)
+    assert record["message"] == "replication is disabled (--no-repl)"
 
 
 def test_no_prelude_hides_stdlib_names(capsys, tmp_path):
@@ -389,3 +397,43 @@ def test_big_numerals_are_one_literal(capsys, tmp_path, command, expected):
 def test_big_numeral_argument_checks(capsys, tmp_path):
     path = write(tmp_path, "def a = add 100000 1\nsystem = 0\n")
     assert invoke(capsys, "check", path) == (0, "", "")
+
+
+# long chains and wide `|` and `+` are walked by loops in every command
+CD = "chan c : nat\nchan d : nat\n"
+
+
+def _chain(n):
+    sends = " . ".join(["c!(1) . d?(x)"] * (n // 2))
+    receives = " . ".join(["c?(y) . d!(2)"] * (n // 2))
+    return f"{CD}system = {sends} . 0 | {receives} . 0\n"
+
+
+def _wide_par(n):
+    inner = " | ".join(["d!(x) . 0"] * n)
+    return f"{CD}system = c!(1) . 0 | c?(x) . ({inner})\n"
+
+
+def _wide_sum(n):
+    inner = " + ".join(f"c!({i}) . 0" for i in range(1, n + 1))
+    return f"{CD}system = {inner} | c?(x) . 0\n"
+
+
+BIG_INPUTS = {
+    "chain-2000": (_chain(2000), {"run": 0, "explore": 5}),
+    "par-3000": (_wide_par(3000), {"run": 3, "explore": 3}),
+    "sum-3000": (_wide_sum(3000), {"run": 0, "explore": 0}),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "fmt", "run", "explore"])
+@pytest.mark.parametrize("case", sorted(BIG_INPUTS))
+def test_big_inputs_need_no_deep_recursion(capsys, tmp_path, case, command):
+    text, codes = BIG_INPUTS[case]
+    path = write(tmp_path, text)
+    argv = [command, path] + (["--depth", "4"] if command == "explore" else [])
+    code, out, err = invoke(capsys, *argv)
+    assert code == codes.get(command, 0)
+    assert "Traceback" not in err and "error" not in err
+    if command == "fmt":
+        assert out == text

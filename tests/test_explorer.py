@@ -72,10 +72,10 @@ def test_randomized_par_commutativity():
         p = gen_proc(rng, depth=4)
         q = gen_proc(rng, depth=4)
         assert (
-            canon_of_term(S.Par(p, q)) == canon_of_term(S.Par(q, p))
+            canon_of_term(S.Par((p, q))) == canon_of_term(S.Par((q, p)))
         )
         assert (
-            canon_of_term(S.Par(p, S.Nil())) == canon_of_term(p)
+            canon_of_term(S.Par((p, S.Nil()))) == canon_of_term(p)
         )
 
 

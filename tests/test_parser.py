@@ -55,7 +55,7 @@ def test_write_reserve_pipeline():
 
 def test_pretty_trivia():
     assert pretty(S.NatLit(0)) == "z"
-    assert pretty(S.Par(S.Nil(), S.Nil())) == "0 | 0"
+    assert pretty(S.Par((S.Nil(), S.Nil()))) == "0 | 0"
 
 
 def test_update_payload():
@@ -95,6 +95,45 @@ def test_unguarded_sum_rejected():
     with pytest.raises(MlgError) as exc:
         parse_proc_term("(a!(1) . 0 | 0) + b!(1) . 0")
     assert any("unguarded sum" in d.message for d in exc.value.diagnostics)
+
+
+def test_unguarded_sum_operand_reported_once_at_its_span():
+    text = "a!(1) . 0 + (b!(1) . 0 | 0) + c!(1) . 0 + d!(1) . 0"
+    with pytest.raises(MlgError) as exc:
+        parse_proc_term(text)
+    diags = [d for d in exc.value.diagnostics if "unguarded sum" in d.message]
+    assert [d.span.col for d in diags] == [text.index("b!") + 1]
+
+
+def test_sums_are_flat():
+    a, b, c = "a!(1) . 0", "b?(x) . 0", "[1 = 1] c!(2) . 0"
+    flat = parse_proc_term(f"{a} + {b} + {c}")
+    assert isinstance(flat, S.Sum) and len(flat.operands) == 3
+    assert parse_proc_term(f"({a} + {b}) + {c}") == flat
+    assert parse_proc_term(f"{a} + ({b} + {c})") == flat
+
+
+def test_sum_operands_must_be_guarded():
+    with pytest.raises(ValueError, match="unguarded sum operand"):
+        S.Sum((S.Par((S.Nil(), S.Nil())), S.Nil()))
+    with pytest.raises(ValueError, match="unguarded sum operand"):
+        S.Sum((S.Nil(), S.Sum((S.Nil(), S.Nil()))))
+
+
+def test_fmt_drops_the_parentheses_around_a_nested_sum():
+    program = parse_program(
+        "chan c : nat\nsystem = c!(1) . 0 + (c!(2) . 0 + c?(x) . 0)\n")
+    assert pretty_program(program) == (
+        "chan c : nat\nsystem = c!(1) . 0 + c!(2) . 0 + c?(x) . 0\n")
+
+
+def test_a_par_chain_is_one_node_and_parentheses_nest():
+    flat = parse_proc_term("0 | a!(1) . 0 | b?(x) . 0")
+    assert isinstance(flat, S.Par) and len(flat.operands) == 3
+    nested = parse_proc_term("(0 | a!(1) . 0) | b?(x) . 0")
+    assert nested == S.Par((S.Par(flat.operands[:2]), flat.operands[2]))
+    assert pretty_proc(nested) == "(0 | a!(1) . 0) | b?(x) . 0"
+    assert pretty_proc(flat) == "0 | a!(1) . 0 | b?(x) . 0"
 
 
 def test_rec_binders_must_differ():
