@@ -340,7 +340,7 @@ def _action_offer(
         left, _ = eval_payload(config, env, action.left, mutate=False)
         right, _ = eval_payload(config, env, action.right, mutate=False)
         if not _values_comparable(left, right):
-            raise EvalFault("match on incomparable values")
+            raise EvalFault("match on incomparable values").at(action.span)
         if left != right:
             return None
         action = action.inner

@@ -343,6 +343,16 @@ def test_runtime_faults_point_at_their_source(capsys, tmp_path, monkeypatch,
     assert err.startswith(f"{path}:{location}: error: {message}")
 
 
+def test_guard_comparison_fault_points_at_the_guard(capsys, tmp_path):
+    path = write(tmp_path, "chan c : nat\n"
+                           "system = c!(1) . 0 | c?(x) . [x = c] c!(x) . 0 "
+                           "| c?(y) . 0\n")
+    code, out, err = invoke(capsys, "run", path, "--unchecked",
+                            "--seed", "1")
+    assert code == 2
+    assert err == f"{path}:2:30: error: match on incomparable values\n"
+
+
 def test_runtime_fault_records_name_the_file_and_span(capsys, tmp_path,
                                                       monkeypatch):
     monkeypatch.setattr(engine, "DEFAULT_FUEL", 1000)
