@@ -7,7 +7,8 @@ scheduler picks uniformly among the canonically ordered enabled redexes with
 a seeded generator, so identical (program, seed, maxSteps) triples produce
 byte-identical traces. It indexes each member's offers by channel, counts
 the redexes from the index and builds only the one the seed picks, so a step
-costs O(members).
+costs O(members). A redex carries the soup members and the offers it was
+built from, and a step applies those, finding its members by identity.
 """
 
 from __future__ import annotations
@@ -134,38 +135,39 @@ class Configuration:
             offer_cache=self.offer_cache,
         )
 
-    def member(self, pid: int) -> SoupMember | None:
-        for m in self.soup:
-            if m.pid == pid:
-                return m
-        return None
-
 
 # ---------------------------------------------------------------------------
 # Redexes
 
 
 @dataclass(frozen=True)
-class Comm:
-    sender_pid: int
-    sender_path: tuple[int, ...]  # () for a prefix, (i,) for operand i
-    receiver_pid: int
-    receiver_path: tuple[int, ...]
+class Offer:
+    path: tuple[int, ...]  # () for a prefix, (i,) for operand i
+    action: S.ProcAction  # Send or Receive (guards already passed)
     chan_id: int
+    continuation: S.ProcTerm
+
+
+@dataclass(frozen=True)
+class Comm:
+    sender: SoupMember
+    send: Offer
+    receiver: SoupMember
+    receive: Offer
     token: int
 
     def sort_key(self):
-        return (0, self.sender_pid, self.receiver_pid, self.sender_path,
-                self.receiver_path, self.chan_id)
+        return (0, self.sender.pid, self.receiver.pid, self.send.path,
+                self.receive.path, self.send.chan_id)
 
 
 @dataclass(frozen=True)
 class ReplSpawn:
-    pid: int
+    member: SoupMember
     token: int
 
     def sort_key(self):
-        return (1, self.pid, 0, (), (), 0)
+        return (1, self.member.pid, 0, (), (), 0)
 
 
 Redex = Comm | ReplSpawn
@@ -324,14 +326,6 @@ def initial_configuration(
 # Enabled redexes
 
 
-@dataclass(frozen=True)
-class Offer:
-    path: tuple[int, ...]
-    action: S.ProcAction  # Send or Receive (guards already passed)
-    chan_id: int
-    continuation: S.ProcTerm
-
-
 def _action_offer(
     config: Configuration, env: ValueEnv, action: S.ProcAction,
     path: tuple[int, ...], continuation: S.ProcTerm,
@@ -452,34 +446,34 @@ class _Index:
     """The enabled redexes of one configuration, counted per sender, so
     that the i-th in canonical order can be built without the others."""
     token: int
-    # (pid, send offers, comms it can send) in pid order
-    senders: list[tuple[int, list[Offer], int]]
-    # channel id -> (pid, receive offer) in pid order
-    receivers: dict[int, list[tuple[int, Offer]]]
-    spawns: list[int]  # replications whose unfolding enables a comm
+    # (member, send offers, comms it can send) in pid order
+    senders: list[tuple[SoupMember, list[Offer], int]]
+    # channel id -> (member, receive offer) in pid order
+    receivers: dict[int, list[tuple[SoupMember, Offer]]]
+    spawns: list[SoupMember]  # replications whose unfolding enables a comm
     count: int
 
-    def comms(self, pid: int, sends: list[Offer]) -> list[Comm]:
+    def comms(self, member: SoupMember, sends: list[Offer]) -> list[Comm]:
         comms = [
-            Comm(pid, off.path, rpid, roff.path, off.chan_id, self.token)
+            Comm(member, off, partner, roff, self.token)
             for off in sends
-            for rpid, roff in self.receivers.get(off.chan_id, ())
-            if rpid != pid
+            for partner, roff in self.receivers.get(off.chan_id, ())
+            if partner is not member
         ]
         comms.sort(key=Comm.sort_key)
         return comms
 
     def redex(self, i: int) -> Redex:
-        for pid, sends, n in self.senders:
+        for member, sends, n in self.senders:
             if i < n:
-                return self.comms(pid, sends)[i]
+                return self.comms(member, sends)[i]
             i -= n
         return ReplSpawn(self.spawns[i], self.token)
 
     def redexes(self) -> list[Redex]:
-        comms = [comm for pid, sends, _ in self.senders
-                 for comm in self.comms(pid, sends)]
-        return comms + [ReplSpawn(pid, self.token) for pid in self.spawns]
+        comms = [comm for member, sends, _ in self.senders
+                 for comm in self.comms(member, sends)]
+        return comms + [ReplSpawn(m, self.token) for m in self.spawns]
 
 
 def _index(config: Configuration) -> _Index:
@@ -494,23 +488,27 @@ def _index(config: Configuration) -> _Index:
         offers = _offers(config, member)
         for off in offers:
             if isinstance(off.action, S.Receive):
-                receivers.setdefault(off.chan_id, []).append((member.pid, off))
-        members.append((member.pid, offers))
+                receivers.setdefault(off.chan_id, []).append((member, off))
+        members.append((member, offers))
     senders, sending, enabled = [], set(), set()
-    for pid, offers in members:
+    for member, offers in members:
         sends = [off for off in offers if isinstance(off.action, S.Send)]
+        if not sends:
+            continue
+        # a sum cannot talk to itself: drop its own receive offers
+        own = (Counter(off.chan_id for off in offers
+                       if isinstance(off.action, S.Receive))
+               if len(sends) < len(offers) else None)
         n = 0
         for off in sends:
             sending.add(off.chan_id)
-            # a sum cannot talk to itself: drop its own receive offers
-            partners = len(receivers.get(off.chan_id, ())) - sum(
-                isinstance(o.action, S.Receive) and o.chan_id == off.chan_id
-                for o in offers)
+            partners = len(receivers.get(off.chan_id, ()))
+            if own:
+                partners -= own[off.chan_id]
             if partners:
                 enabled.add(off.chan_id)
                 n += partners
-        if sends:
-            senders.append((pid, sends, n))
+        senders.append((member, sends, n))
 
     unfoldings = [(member, _offers(config, member)) for member in repls]
     repl_offers = Counter(o for _, u in unfoldings for o in u.offers)
@@ -537,7 +535,7 @@ def _index(config: Configuration) -> _Index:
         if member.repl_budget is not None and member.repl_budget <= 0:
             config.budget_cut = True  # suppressed; the explorer's frontier
         else:
-            spawns.append(member.pid)
+            spawns.append(member)
     count = sum(n for _, _, n in senders) + len(spawns)
     return _Index(config.token, senders, receivers, spawns, count)
 
@@ -551,19 +549,6 @@ def enabled_redexes(config: Configuration) -> list[Redex]:
 # Stepping
 
 
-def _select_branch(term: S.ProcTerm, path: tuple[int, ...]) -> S.Prefix:
-    if path:
-        term = term.operands[path[0]]
-    assert isinstance(term, S.Prefix)
-    return term
-
-
-def _strip_guards(action: S.ProcAction) -> S.ProcAction:
-    while isinstance(action, S.Match):
-        action = action.inner
-    return action
-
-
 def step(config: Configuration, redex: Redex) -> Configuration:
     """Apply one redex, returning the successor configuration.
 
@@ -575,55 +560,47 @@ def step(config: Configuration, redex: Redex) -> Configuration:
     new = config.clone()
     new.token += 1
     if isinstance(redex, ReplSpawn):
-        member = new.member(redex.pid)
-        if member is None or not isinstance(member.term, S.Repl):
+        member = redex.member
+        idx = next((i for i, m in enumerate(new.soup) if m is member), None)
+        if idx is None:
             raise MlgError("stale redex: replication no longer present")
         if member.repl_budget is not None:
-            idx = new.soup.index(member)
             new.soup[idx] = replace(member,
                                     repl_budget=member.repl_budget - 1)
         first_new_pid = new.next_pid
         insert_term(new, member.term.body, member.env)
         if new.trace is not None:
             new.trace.append(TraceEvent(
-                "spawn", new.step_count, pids=(redex.pid, first_new_pid)
+                "spawn", new.step_count, pids=(member.pid, first_new_pid)
             ))
         new.step_count += 1
         return new
 
-    sender = new.member(redex.sender_pid)
-    receiver = new.member(redex.receiver_pid)
-    if sender is None or receiver is None:
+    sender, send, receiver, receive = (redex.sender, redex.send,
+                                       redex.receiver, redex.receive)
+    soup = [m for m in new.soup if m is not sender and m is not receiver]
+    if len(soup) != len(new.soup) - 2:
         raise MlgError("stale redex: participant no longer present")
-    send_prefix = _select_branch(sender.term, redex.sender_path)
-    recv_prefix = _select_branch(receiver.term, redex.receiver_path)
-    send_action = _strip_guards(send_prefix.action)
-    recv_action = _strip_guards(recv_prefix.action)
-    if not isinstance(send_action, S.Send) or not isinstance(
-        recv_action, S.Receive
-    ):
-        raise MlgError("stale redex: action shape changed")
+    new.soup = soup
 
     update_events: list[TraceEvent] = []
     value, eval_steps = eval_payload(
-        new, sender.env, send_action.payload, mutate=True,
+        new, sender.env, send.action.payload, mutate=True,
         events=update_events,
     )
-    info = new.chan_scopes.get(redex.chan_id)
+    info = new.chan_scopes.get(send.chan_id)
     if info is None:
-        raise MlgError(f"unknown channel id {redex.chan_id}")
-    _assert_sort(new, value, info, send_action.payload.span)
+        raise MlgError(f"unknown channel id {send.chan_id}")
+    _assert_sort(new, value, info, send.action.payload.span)
     if isinstance(value, ChanRef):
         target = new.chan_scopes.get(value.id)
         if target is not None and target.restricted and not target.extruded:
             # scope extrusion: the restricted name escapes through a comm
             new.chan_scopes[value.id] = replace(target, extruded=True)
 
-    new.soup = [m for m in new.soup
-                if m.pid not in (sender.pid, receiver.pid)]
-    insert_term(new, send_prefix.continuation, sender.env)
-    insert_term(new, recv_prefix.continuation,
-                receiver.env.extend(recv_action.binder.text, value))
+    insert_term(new, send.continuation, sender.env)
+    insert_term(new, receive.continuation,
+                receiver.env.extend(receive.action.binder.text, value))
 
     if new.trace is not None:
         new.trace.extend(update_events)
@@ -688,8 +665,8 @@ def run(
         config = step(config, redex)
         if isinstance(redex, Comm):
             # both left the soup, and pids are never reused along a run
-            config.offer_cache.pop(redex.sender_pid, None)
-            config.offer_cache.pop(redex.receiver_pid, None)
+            config.offer_cache.pop(redex.sender.pid, None)
+            config.offer_cache.pop(redex.receiver.pid, None)
     config.trace.append(TraceEvent(verdict, config.step_count))
     return config, verdict, config.trace
 

@@ -44,7 +44,9 @@ def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
                     return walk(value, env, bound)
             return ("v", node.text)
         if isinstance(node, S.Prefix):
-            heads = []  # keys without their continuation's, folded in below
+            # one flat key per chain: equal long chains then compare
+            # without recursing once per action
+            heads = []
             while isinstance(node, S.Prefix):
                 action, guards = node.action, []
                 while isinstance(action, S.Match):
@@ -60,10 +62,7 @@ def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
                     heads.append(("?", tuple(guards), chan, binder))
                     bound = bound | {binder}
                 node = node.continuation
-            key = walk(node, env, bound)
-            for head in reversed(heads):
-                key = (*head, key)
-            return key
+            return (".", tuple(heads), walk(node, env, bound))
         if isinstance(node, S.Sum):
             return ("+", tuple(sorted(walk(op, env, bound)
                                       for op in node.operands)))
@@ -247,8 +246,8 @@ class StateGraph:
 
 def _edge_label(config: Configuration, redex: Redex) -> str:
     if isinstance(redex, ReplSpawn):
-        return f"spawn(pid{redex.pid})"
-    info = config.chan_scopes[redex.chan_id]
+        return f"spawn(pid{redex.member.pid})"
+    info = config.chan_scopes[redex.send.chan_id]
     return f"comm({info.name})"
 
 

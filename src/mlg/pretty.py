@@ -6,32 +6,6 @@ from . import syntax as S
 from . import typecheck as T
 
 
-# -- types ------------------------------------------------------------------
-
-def pretty_type(ty: S.CompType) -> str:
-    if isinstance(ty, S.NatType):
-        return "nat"
-    if isinstance(ty, S.ArrowType):
-        dom = pretty_type(ty.domain)
-        if isinstance(ty.domain, S.ArrowType):
-            dom = f"({dom})"
-        return f"{dom} -> {pretty_type(ty.codomain)}"
-    inner = ", ".join(
-        f"{lab} : {pretty_type(t)}" for lab, t in ty.signature
-    )
-    return f"[{inner}]"
-
-
-def pretty_sort(sort: T.ChannelSort) -> str:
-    if isinstance(sort, T.CarriesChan):
-        return f"chan({pretty_sort(sort.inner)})"
-    if isinstance(sort, T.CarriesNat):
-        return "nat"
-    if isinstance(sort, T.CarriesFn):
-        return pretty_type(sort.fn_type)
-    return pretty_type(sort.signature)
-
-
 # -- computation expressions ------------------------------------------------
 
 # precedence contexts
@@ -47,7 +21,7 @@ def _expr(e, level: int) -> str:
         return f"succ({_expr(e.arg, _EXPR)})"
     if isinstance(e, S.Lambda):
         text = (
-            f"fun ({e.param} : {pretty_type(e.param_type)}) "
+            f"fun ({e.param} : {e.param_type}) "
             f"{_expr(e.body, _EXPR)}"
         )
         return f"({text})" if level > _EXPR else text
@@ -132,7 +106,7 @@ def _proc(p: S.ProcTerm, level: int) -> str:
         return f"!{_proc(p.body, _PREFIXED)}"
     if isinstance(p, S.Restrict):
         text = (
-            f"new {p.chan} : {pretty_sort(p.chan_sort)} in "
+            f"new {p.chan} : {p.chan_sort} in "
             f"{_proc(p.body, _PAR)}"
         )
         # `new` extends maximally rightward; parenthesize in any sub-position
@@ -152,7 +126,7 @@ def pretty_program(program: S.Program) -> str:
         if isinstance(item, S.DefDef):
             lines.append(f"def {item.name} = {pretty_expr(item.body)}")
         elif isinstance(item, S.ChanDecl):
-            lines.append(f"chan {item.name} : {pretty_sort(item.sort)}")
+            lines.append(f"chan {item.name} : {item.sort}")
         else:
             lines.append(f"proc {item.name} = {pretty_proc(item.body)}")
     if program.entry is not None:
@@ -171,9 +145,7 @@ def pretty(item) -> str:
         return pretty_proc(item)
     if isinstance(item, (S.NamePayload, S.CompPayload, S.ObjPayload)):
         return pretty_payload(item)
-    if isinstance(item, (S.NatType, S.ArrowType, S.ObjType)):
-        return pretty_type(item)
-    if isinstance(item, (T.CarriesChan, T.CarriesNat, T.CarriesFn,
-                         T.CarriesObj)):
-        return pretty_sort(item)
+    if isinstance(item, (S.NatType, S.ArrowType, S.ObjType, T.CarriesChan,
+                         T.CarriesNat, T.CarriesFn, T.CarriesObj)):
+        return str(item)
     return pretty_expr(item)

@@ -1,19 +1,20 @@
 """Heap of stateful objects: allocation, field reads, atomic multi-field
-updates."""
+updates. A stored object is a value: an update replaces it with a new one,
+so clones of a store share the objects they have not written."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .diagnostics import MlgError
 from . import syntax as S
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoredObject:
     id: int
     signature: S.ObjType | None  # None only for unchecked programs
-    fields: dict[str, object]  # label -> Value
+    fields: dict[str, object]  # label -> Value; never mutated
     version: int = 0
 
     def snapshot(self) -> tuple:
@@ -92,9 +93,9 @@ class ObjectStore:
                 raise MlgError(
                     f"object #{ref.id} has no field '{lab}'"
                 )
-        for lab, val in writes:
-            obj.fields[lab] = val
-        obj.version += 1
+        self.objects[obj.id] = replace(
+            obj, fields={**obj.fields, **dict(writes)}, version=obj.version + 1
+        )
         self.write_count += 1
 
     def snapshot(self) -> tuple:
@@ -106,8 +107,5 @@ class ObjectStore:
         other = ObjectStore()
         other.next_id = self.next_id
         other.write_count = self.write_count
-        for oid, obj in self.objects.items():
-            other.objects[oid] = StoredObject(
-                obj.id, obj.signature, dict(obj.fields), obj.version
-            )
+        other.objects = dict(self.objects)
         return other

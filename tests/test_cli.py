@@ -429,10 +429,17 @@ def _wide_sum(n):
     return f"{CD}system = {inner} | c?(x) . 0\n"
 
 
+def _twin_chains(n):
+    # two members with equal keys, which explore compares
+    chain = " . ".join(["c!(1)"] * n)
+    return f"{CD}system = {chain} . 0 | {chain} . 0\n"
+
+
 BIG_INPUTS = {
     "chain-2000": (_chain(2000), {"run": 0, "explore": 5}),
     "par-3000": (_wide_par(3000), {"run": 3, "explore": 3}),
     "sum-3000": (_wide_sum(3000), {"run": 0, "explore": 0}),
+    "twin-1500": (_twin_chains(1500), {"run": 3, "explore": 3}),
 }
 
 

@@ -1,9 +1,10 @@
 """No process walker recurses once per operand or per action.
 
-Every stage runs here on a 5,000-action chain, a 5,000-operand `|` and a
-5,000-operand `+` with the recursion limit lowered to about 100 frames
-above the test's own depth. A walker that recursed per prefix or per
-operand would need thousands of frames and raise RecursionError.
+Every stage runs here on a 5,000-action chain, a 5,000-operand `|`, a
+5,000-operand `+` and two equal 5,000-action chains with the recursion
+limit lowered to about 100 frames above the test's own depth. A walker
+that recursed per prefix or per operand, or a member key that nested once
+per action, would need thousands of frames and raise RecursionError.
 """
 
 import sys
@@ -30,6 +31,9 @@ PROGRAMS = {
         " | ".join(["d!(x) . 0"] * N)),
     "sum": DECLS + "system = {} | c?(x) . 0\n".format(
         " + ".join(f"c!({i}) . 0" for i in range(N))),
+    # the same chain written twice: two equal member keys that compare
+    "twin": DECLS + "system = {0} . 0 | {0} . 0\n".format(
+        " . ".join(["c!(1)"] * N)),
 }
 
 

@@ -101,6 +101,24 @@ def test_stale_redex_rejected():
         step(later, redex)
 
 
+def test_redex_from_a_sibling_configuration_rejected():
+    # both siblings carry the same token and give pid4 to the continuation
+    # of their sender: d!(1) . 0 in one, d!(2) . 0 in the other
+    program, ann = load(
+        "chan c : nat\n"
+        "chan d : nat\n"
+        "system = c!(1) . d!(1) . 0 | c?(x) . 0 | c!(2) . d!(2) . 0"
+        " | d?(y) . 0\n"
+    )
+    config = initial_configuration(program, ann)
+    config.trace = None
+    first, second = (step(config, r) for r in enabled_redexes(config))
+    assert first.token == second.token
+    (redex,) = enabled_redexes(first)
+    with pytest.raises(MlgError):
+        step(second, redex)
+
+
 def test_name_mobility_substitutes_channels():
     program, ann = load(demo_text("mobility.mlg"))
     config, verdict, trace = run(program, seed=0, annotations=ann)

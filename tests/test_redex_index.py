@@ -26,8 +26,9 @@ from mlg.typecheck import check_program
 
 
 def reference_comms(config) -> list[Comm]:
-    offers = {m.pid: member_offers(config, m) for m in config.soup
-              if not isinstance(m.term, S.Repl)}
+    members = {m.pid: m for m in config.soup
+               if not isinstance(m.term, S.Repl)}
+    offers = {pid: member_offers(config, m) for pid, m in members.items()}
     comms = []
     for spid in sorted(offers):
         for soff in offers[spid]:
@@ -39,35 +40,35 @@ def reference_comms(config) -> list[Comm]:
                 for roff in offers[rpid]:
                     if (isinstance(roff.action, S.Receive)
                             and roff.chan_id == soff.chan_id):
-                        comms.append(Comm(spid, soff.path, rpid, roff.path,
-                                          soff.chan_id, config.token))
+                        comms.append(Comm(members[spid], soff,
+                                          members[rpid], roff, config.token))
     return sorted(comms, key=Comm.sort_key)
 
 
 def reference_redexes(config) -> tuple[list, bool]:
     """(enabled redexes in canonical order, whether a budget cut one)."""
     comms = reference_comms(config)
-    enabled = {comm.chan_id for comm in comms}
+    enabled = {comm.send.chan_id for comm in comms}
     repls = [m for m in config.soup if isinstance(m.term, S.Repl)]
     spawns, cut = [], False
     for member in repls:
         trial = config.clone()
         trial.trace = None
-        trial = step(trial, ReplSpawn(member.pid, trial.token))
+        trial = step(trial, ReplSpawn(member, trial.token))
         own = range(config.next_pid, trial.next_pid)
         for other in repls:
             if other.pid != member.pid:
-                trial = step(trial, ReplSpawn(other.pid, trial.token))
+                trial = step(trial, ReplSpawn(other, trial.token))
         if not any(
-            (comm.sender_pid in own or comm.receiver_pid in own)
-            and comm.chan_id not in enabled
+            (comm.sender.pid in own or comm.receiver.pid in own)
+            and comm.send.chan_id not in enabled
             for comm in reference_comms(trial)
         ):
             continue
         if member.repl_budget is not None and member.repl_budget <= 0:
             cut = True
         else:
-            spawns.append(ReplSpawn(member.pid, config.token))
+            spawns.append(ReplSpawn(member, config.token))
     return comms + spawns, cut
 
 

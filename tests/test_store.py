@@ -138,6 +138,18 @@ def test_clone_is_independent():
     assert copy.snapshot() != store.snapshot()
 
 
+def test_clone_shares_objects_until_one_is_written():
+    store = ObjectStore()
+    ref = fresh_file(store)
+    other = fresh_file(store)
+    copy = store.clone()
+    before = store.objects[ref.id]
+    copy.update(ref, [("size", NatVal(9))])
+    assert store.objects[ref.id] is before
+    assert before.fields["size"] == NatVal(0) and before.version == 0
+    assert copy.objects[other.id] is store.objects[other.id]
+
+
 def test_render_shape():
     store = ObjectStore()
     ref = fresh_file(store)
