@@ -1,14 +1,15 @@
 """Deterministic, seeded reduction engine for the coordination core.
 
-A configuration holds a soup of sequential process members, a channel scope
-table and the object store. One reduction step is either a synchronous
-communication (Comm) or a lazy replication unfolding (ReplSpawn). The
-scheduler picks uniformly among the canonically ordered enabled redexes with
-a seeded generator, so identical (program, seed, maxSteps) triples produce
-byte-identical traces. It indexes each member's offers by channel, counts
-the redexes from the index and builds only the one the seed picks, so a step
-costs O(members). A redex carries the soup members and the offers it was
-built from, and a step applies those, finding its members by identity.
+A configuration holds a soup of sequential process members and the object
+store; a channel is a ChanRef value that carries its own name and sort. One
+reduction step is either a synchronous communication (Comm) or a lazy
+replication unfolding (ReplSpawn). The scheduler picks uniformly among the
+canonically ordered enabled redexes with a seeded generator, so identical
+(program, seed, maxSteps) triples produce byte-identical traces. It indexes
+each member's offers by channel, counts the redexes from the index and
+builds only the one the seed picks, so a step costs O(members). A redex
+carries the soup members and the offers it was built from, and a step
+applies those, finding its members by identity.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ DEFAULT_FUEL = 10**7
 
 # ---------------------------------------------------------------------------
 # Configuration pieces
-
-
-@dataclass(frozen=True)
-class ChannelInfo:
-    id: int
-    name: str
-    sort: T.ChannelSort
-    restricted: bool
-    extruded: bool = False
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,6 @@ class TraceEvent:
 @dataclass
 class Configuration:
     soup: list[SoupMember]  # in pid order
-    chan_scopes: dict[int, ChannelInfo]
     store: ObjectStore
     step_count: int = 0
     # an append-only log that clone shares, so step appends to its input's
@@ -104,35 +95,37 @@ class Configuration:
     trace: list[TraceEvent] | None = field(default_factory=list)
     next_pid: int = 0
     next_chan: int = 0
+    # ids of the restricted channels a communication has sent; replaced,
+    # never mutated, so clone shares it
+    extruded: frozenset[int] = frozenset()
     # plumbing shared by all configurations of one run
     annotations: dict[int, S.ObjType] = field(default_factory=dict)
     proc_defs: dict[str, S.ProcTerm] = field(default_factory=dict)
+    # the declared channels' explorer rows, ("g", name, sort), sorted
+    chan_decls: tuple[tuple[str, str, str], ...] = ()
     default_repl_budget: int | None = None
     budget_cut: bool = False  # a spawn was suppressed by the repl budget
     token: int = 0  # bumped every step; guards against stale redexes
     # the explorer's canonical-key cache, shared like proc_defs: term ids
     # to their member keys, plus interned key tuples
     canon_cache: dict = field(default_factory=dict)
-    # the scheduler's cache, shared like proc_defs: pid -> (member, offers
-    # or Unfolding), for members whose offers do not wait on a match guard
-    offer_cache: dict = field(default_factory=dict)
 
     def clone(self) -> "Configuration":
         return Configuration(
             soup=list(self.soup),
-            chan_scopes=dict(self.chan_scopes),
             store=self.store.clone(),
             step_count=self.step_count,
             trace=self.trace,
             next_pid=self.next_pid,
             next_chan=self.next_chan,
+            extruded=self.extruded,
             annotations=self.annotations,
             proc_defs=self.proc_defs,
+            chan_decls=self.chan_decls,
             default_repl_budget=self.default_repl_budget,
             budget_cut=False,
             token=self.token,
             canon_cache=self.canon_cache,
-            offer_cache=self.offer_cache,
         )
 
 
@@ -144,7 +137,7 @@ class Configuration:
 class Offer:
     path: tuple[int, ...]  # () for a prefix, (i,) for operand i
     action: S.ProcAction  # Send or Receive (guards already passed)
-    chan_id: int
+    chan: ChanRef
     continuation: S.ProcTerm
 
 
@@ -158,7 +151,7 @@ class Comm:
 
     def sort_key(self):
         return (0, self.sender.pid, self.receiver.pid, self.send.path,
-                self.receive.path, self.send.chan_id)
+                self.receive.path, self.send.chan.id)
 
 
 @dataclass(frozen=True)
@@ -274,12 +267,9 @@ def insert_term(config: Configuration, term: S.ProcTerm,
     """Normalize a term into soup members, allocating its restrictions."""
 
     def allocate(restrict: S.Restrict) -> ChanRef:
-        cid = config.next_chan
         config.next_chan += 1
-        config.chan_scopes[cid] = ChannelInfo(
-            cid, restrict.chan.text, restrict.chan_sort, restricted=True
-        )
-        return ChanRef(cid)
+        return ChanRef(config.next_chan - 1, restrict.chan_sort,
+                       restrict.chan.text, restricted=True)
 
     for member, member_env in _normalize(config, term, env, allocate):
         budget = (config.default_repl_budget
@@ -296,10 +286,10 @@ def initial_configuration(
 ) -> Configuration:
     """Evaluate definitions, allocate global channels, normalize the entry."""
     config = Configuration(
-        soup=[], chan_scopes={}, store=ObjectStore(),
+        soup=[], store=ObjectStore(),
         annotations=annotations or {}, default_repl_budget=repl_budget,
     )
-    env = EMPTY_ENV
+    env, rows = EMPTY_ENV, []
     for item in program.defs:
         if isinstance(item, S.DefDef):
             try:
@@ -309,14 +299,13 @@ def initial_configuration(
                 raise fault.at(item.span) from None
             env = env.extend(item.name.text, value)
         elif isinstance(item, S.ChanDecl):
-            cid = config.next_chan
+            env = env.extend(item.name.text, ChanRef(
+                config.next_chan, item.sort, item.name.text, restricted=False))
             config.next_chan += 1
-            config.chan_scopes[cid] = ChannelInfo(
-                cid, item.name.text, item.sort, restricted=False
-            )
-            env = env.extend(item.name.text, ChanRef(cid))
+            rows.append(("g", item.name.text, str(item.sort)))
         else:
             config.proc_defs[item.name.text] = item.body
+    config.chan_decls = tuple(sorted(rows))
     if program.entry is not None:
         insert_term(config, program.entry, env)
     return config
@@ -341,7 +330,7 @@ def _action_offer(
     chan_val = env.maybe(action.chan.text)
     if not isinstance(chan_val, ChanRef):
         raise EvalFault(f"'{action.chan}' is not a channel in this scope")
-    return Offer(path, action, chan_val.id, continuation)
+    return Offer(path, action, chan_val, continuation)
 
 
 def _values_comparable(a: Value, b: Value) -> bool:
@@ -398,7 +387,7 @@ def _unfolding(config: Configuration,
     try:
         for i, (term, env) in enumerate(parts):
             for off in _term_offers(config, term, env):
-                sends, receives = polarity.setdefault(off.chan_id,
+                sends, receives = polarity.setdefault(off.chan.id,
                                                       (set(), set()))
                 (sends if isinstance(off.action, S.Send) else receives).add(i)
     except EvalFault:
@@ -416,28 +405,29 @@ def _unfolding(config: Configuration,
 
 def _offers(config: Configuration,
             member: SoupMember) -> list[Offer] | Unfolding:
-    """A member's offers, or a replication's Unfolding, cached for the run.
+    """A member's offers, or a replication's Unfolding, kept on the member.
 
-    A member's term and env never change, so the entry holds until the
-    member leaves the soup. Offers that wait on a match guard are computed
-    again on every call, since a guard can read the store. Entries are
-    keyed by pid and hold the member, so configurations of one exploration
-    that reuse a pid for another member never see each other's entries.
+    A member's term and env never change, so they are computed on first
+    use and live as long as the member, in every configuration that shares
+    it. Offers that wait on a match guard are computed again on every
+    call, since a guard can read the store.
     """
-    entry = config.offer_cache.get(member.pid)
-    if entry is not None and entry[0] is member:
-        return entry[1]
+    value = member.__dict__.get("_offers")
+    if value is not None:
+        return value
     if isinstance(member.term, S.Repl):
         fresh = itertools.count(config.next_chan)
         parts = _normalize(config, member.term.body, member.env,
-                           lambda restrict: ChanRef(next(fresh)))
+                           lambda restrict: ChanRef(
+                               next(fresh), restrict.chan_sort,
+                               restrict.chan.text, restricted=True))
         value = _unfolding(config, parts)
         guarded = any(_guarded(term) for term, _ in parts)
     else:
         value = member_offers(config, member)
         guarded = _guarded(member.term)
     if not guarded:
-        config.offer_cache[member.pid] = (member, value)
+        object.__setattr__(member, "_offers", value)
     return value
 
 
@@ -457,7 +447,7 @@ class _Index:
         comms = [
             Comm(member, off, partner, roff, self.token)
             for off in sends
-            for partner, roff in self.receivers.get(off.chan_id, ())
+            for partner, roff in self.receivers.get(off.chan.id, ())
             if partner is not member
         ]
         comms.sort(key=Comm.sort_key)
@@ -488,7 +478,7 @@ def _index(config: Configuration) -> _Index:
         offers = _offers(config, member)
         for off in offers:
             if isinstance(off.action, S.Receive):
-                receivers.setdefault(off.chan_id, []).append((member, off))
+                receivers.setdefault(off.chan.id, []).append((member, off))
         members.append((member, offers))
     senders, sending, enabled = [], set(), set()
     for member, offers in members:
@@ -496,17 +486,18 @@ def _index(config: Configuration) -> _Index:
         if not sends:
             continue
         # a sum cannot talk to itself: drop its own receive offers
-        own = (Counter(off.chan_id for off in offers
+        own = (Counter(off.chan.id for off in offers
                        if isinstance(off.action, S.Receive))
                if len(sends) < len(offers) else None)
         n = 0
         for off in sends:
-            sending.add(off.chan_id)
-            partners = len(receivers.get(off.chan_id, ()))
+            cid = off.chan.id
+            sending.add(cid)
+            partners = len(receivers.get(cid, ()))
             if own:
-                partners -= own[off.chan_id]
+                partners -= own[cid]
             if partners:
-                enabled.add(off.chan_id)
+                enabled.add(cid)
                 n += partners
         senders.append((member, sends, n))
 
@@ -588,15 +579,11 @@ def step(config: Configuration, redex: Redex) -> Configuration:
         new, sender.env, send.action.payload, mutate=True,
         events=update_events,
     )
-    info = new.chan_scopes.get(send.chan_id)
-    if info is None:
-        raise MlgError(f"unknown channel id {send.chan_id}")
-    _assert_sort(new, value, info, send.action.payload.span)
-    if isinstance(value, ChanRef):
-        target = new.chan_scopes.get(value.id)
-        if target is not None and target.restricted and not target.extruded:
-            # scope extrusion: the restricted name escapes through a comm
-            new.chan_scopes[value.id] = replace(target, extruded=True)
+    _assert_sort(new, value, send.chan, send.action.payload.span)
+    if (isinstance(value, ChanRef) and value.restricted
+            and value.id not in new.extruded):
+        # scope extrusion: the restricted name escapes through a comm
+        new.extruded = new.extruded | {value.id}
 
     insert_term(new, send.continuation, sender.env)
     insert_term(new, receive.continuation,
@@ -607,7 +594,7 @@ def step(config: Configuration, redex: Redex) -> Configuration:
         new.trace.append(TraceEvent(
             "comm", new.step_count,
             pids=(sender.pid, receiver.pid),
-            chan=info.name, payload=render_value(value),
+            chan=send.chan.name, payload=render_value(value),
             store_delta=tuple(e.store_delta[0] for e in update_events),
             detail=f"eval={eval_steps}" if eval_steps else "",
         ))
@@ -616,10 +603,10 @@ def step(config: Configuration, redex: Redex) -> Configuration:
 
 
 def _assert_sort(config: Configuration, value: Value,
-                 info: ChannelInfo, span: Span) -> None:
+                 chan: ChanRef, span: Span) -> None:
     """Redundant dynamic check that the payload at `span` inhabits the
     channel sort."""
-    sort = info.sort
+    sort = chan.sort
     ok = True
     if isinstance(sort, T.CarriesChan):
         ok = isinstance(value, ChanRef)
@@ -632,7 +619,7 @@ def _assert_sort(config: Configuration, value: Value,
     if not ok:
         raise EvalFault(
             f"payload {render_value(value)} does not inhabit sort "
-            f"{sort} of channel '{info.name}'"
+            f"{sort} of channel '{chan.name}'"
         ).at(span)
 
 
@@ -663,10 +650,6 @@ def run(
             break
         redex = index.redex(rng.randrange(index.count))
         config = step(config, redex)
-        if isinstance(redex, Comm):
-            # both left the soup, and pids are never reused along a run
-            config.offer_cache.pop(redex.sender.pid, None)
-            config.offer_cache.pop(redex.receiver.pid, None)
     config.trace.append(TraceEvent(verdict, config.step_count))
     return config, verdict, config.trace
 

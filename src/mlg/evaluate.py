@@ -15,7 +15,7 @@ closure's env.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .diagnostics import DUMMY_SPAN, MlgError, Span
@@ -46,7 +46,13 @@ class ObjRef:
 
 @dataclass(frozen=True)
 class ChanRef:
+    """A channel, the only record of it: a declaration or a restriction
+    makes one, and a communication can pass it on. Refs are equal when
+    their ids and sorts are; the hash is the id alone."""
     id: int
+    sort: object = field(hash=False)  # typecheck.ChannelSort
+    name: str = field(compare=False)
+    restricted: bool = field(compare=False)
 
 
 Value = NatVal | Closure | ObjRef | ChanRef

@@ -18,21 +18,21 @@ from dataclasses import dataclass, field
 from . import syntax as S
 from .evaluate import ChanRef, Closure, NatVal, ObjRef, ValueEnv
 from .engine import (
-    ChannelInfo, Configuration, Redex, ReplSpawn, SoupMember,
-    enabled_redexes, initial_configuration, step,
+    Configuration, Redex, ReplSpawn, SoupMember, enabled_redexes,
+    initial_configuration, step,
 )
 
 # ---------------------------------------------------------------------------
 # Canonicalization
 
 
-def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
-    """(structural key of `term` under `env`, restricted channel ids in
-    order of occurrence, names looked up in env).
+def _walk(term: S.ProcTerm, env: ValueEnv):
+    """(structural key of `term` under `env`, restricted channels in order
+    of occurrence, names looked up in env).
 
     Every key is a tuple headed by a string tag, so any two keys compare.
     """
-    occurs: list[int] = []
+    occurs: list[ChanRef] = []
     looked_up: dict[str, None] = {}
 
     def walk(node, env: ValueEnv, bound: frozenset[str]):
@@ -115,9 +115,8 @@ def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
         if isinstance(node, NatVal):
             return ("n", node.n)
         if isinstance(node, ChanRef):
-            info = scopes.get(node.id)
-            if info is not None and info.restricted:
-                occurs.append(node.id)
+            if node.restricted:
+                occurs.append(node)
                 return ("r",)
             return ("c", node.id)
         if isinstance(node, ObjRef):
@@ -131,18 +130,20 @@ def _walk(term: S.ProcTerm, env: ValueEnv, scopes: dict[int, ChannelInfo]):
     return key, tuple(occurs), tuple(looked_up)
 
 
-def _member_key(cache: dict, member: SoupMember,
-                scopes: dict[int, ChannelInfo]) -> tuple[tuple, tuple]:
-    """(interned key, restricted channel ids) of a member, cached on its
-    term and the values of the names the term's first walk looked up. The
-    entry holds the term, so its id is not reused while the cache lives."""
+def _member_key(cache: dict, member: SoupMember) -> tuple[tuple, tuple]:
+    """(interned key, restricted channels) of a member, cached on its term
+    and the values of the names the term's first walk looked up. The entry
+    holds the term, so its id is not reused while the cache lives. Channel
+    refs are equal only when their ids and sorts are, so configurations
+    that give one id to restricted channels of two sorts get separate
+    entries."""
     entry = cache.get(id(member.term))
     if entry is not None:
         values = (member.repl_budget, *map(member.env.maybe, entry[1]))
         hit = entry[2].get(values)
         if hit is not None:
             return hit
-    key, occurs, names = _walk(member.term, member.env, scopes)
+    key, occurs, names = _walk(member.term, member.env)
     if member.repl_budget is not None:
         key += (member.repl_budget,)
     _, names, keys = cache.setdefault(id(member.term),
@@ -171,24 +172,24 @@ class CanonicalState:
 
 def canonicalize(config: Configuration) -> CanonicalState:
     """Quotient a configuration by structural congruence."""
-    cache, scopes = config.canon_cache, config.chan_scopes
+    cache = config.canon_cache
     order = []
     for member in config.soup:
-        key, occurs = _member_key(cache, member, scopes)
+        key, occurs = _member_key(cache, member)
         order.append((key, member.pid, occurs))
     order.sort()
-    alias: dict[int, int] = {}
+    # restricted channel id -> (its number, its ref)
+    alias: dict[int, tuple[int, ChanRef]] = {}
     soup = []
     for key, _, occurs in order:
-        numbered = (key, tuple(alias.setdefault(cid, len(alias))
-                               for cid in occurs))
+        numbered = (key, tuple(alias.setdefault(ref.id, (len(alias), ref))[0]
+                               for ref in occurs))
         soup.append(cache.setdefault(numbered, numbered))
     soup.sort()
-    rows = tuple(sorted(
-        ("x" if info.extruded else "r", alias[info.id], str(info.sort))
-        if info.restricted else ("g", info.name, str(info.sort))
-        for info in scopes.values()
-        if not info.restricted or info.id in alias
+    # declared rows are tagged "g", so they sort before the restricted ones
+    rows = config.chan_decls + tuple(sorted(
+        ("x" if ref.id in config.extruded else "r", n, str(ref.sort))
+        for n, ref in alias.values()
     ))
     soup_key = tuple(soup)
     return CanonicalState(cache.setdefault(soup_key, soup_key),
@@ -244,11 +245,10 @@ class StateGraph:
         return "\n".join(lines) + "\n"
 
 
-def _edge_label(config: Configuration, redex: Redex) -> str:
+def _edge_label(redex: Redex) -> str:
     if isinstance(redex, ReplSpawn):
         return f"spawn(pid{redex.member.pid})"
-    info = config.chan_scopes[redex.send.chan_id]
-    return f"comm({info.name})"
+    return f"comm({redex.send.chan.name})"
 
 
 def explore(
@@ -297,8 +297,7 @@ def explore(
             else:
                 graph.states[succ_state] = succ_state
                 queue.append((succ, succ_state, depth + 1))
-            graph.edges.append((state, _edge_label(current, redex),
-                                succ_state))
+            graph.edges.append((state, _edge_label(redex), succ_state))
     return graph
 
 

@@ -1,5 +1,7 @@
 from conftest import demo_text
 
+import dataclasses
+
 import pytest
 
 from mlg import engine as E
@@ -251,8 +253,26 @@ def test_scope_extrusion_marks_channel():
     program, ann = load(src)
     config, verdict, _ = run(program, seed=0, annotations=ann)
     assert verdict == TERMINATED
-    restricted = [i for i in config.chan_scopes.values() if i.restricted]
-    assert restricted and restricted[0].extruded
+    assert config.extruded == {1}  # a is channel 0, c is channel 1
+
+
+LONG_RUN = (
+    "chan req : nat\n"
+    "chan done : nat\n"
+    "system = !req?(x) . (new r : nat in (r!(x) . 0 | r?(y) . done!(y) . 0))"
+    " | !req!(1) . 0 | !done?(a) . 0\n"
+)
+
+
+def test_clone_of_a_long_run_shares_all_but_soup_and_store():
+    # every step restricts a fresh channel, and none is kept per configuration
+    program, ann = load(LONG_RUN)
+    config, verdict, _ = run(program, max_steps=4000, annotations=ann)
+    assert verdict == STEP_LIMIT
+    copy = config.clone()
+    for f in dataclasses.fields(E.Configuration):
+        if f.name not in ("soup", "store", "budget_cut"):
+            assert getattr(copy, f.name) is getattr(config, f.name), f.name
 
 
 def test_render_trace_records_is_json_lines():

@@ -66,6 +66,20 @@ def test_distinct_restricted_channels_distinguished():
     assert canon_of(one) != canon_of(two)
 
 
+def test_siblings_giving_one_id_to_two_sorts_stay_apart():
+    # unchecked: P's r is the one in scope where P is inlined, so one term
+    # reads a nat channel on one path and a chan(nat) channel on the other,
+    # and both paths give that channel the same id
+    program = load_program(
+        "chan a : nat\nchan b : nat\nproc P = r?(v) . 0\n"
+        "system = a!(1) . 0 | a?(x) . (new r : nat in P)"
+        " | b!(1) . 0 | b?(y) . (new r : chan(nat) in P)\n",
+        include_prelude=False)
+    graph = explore(program)
+    assert len(graph.states) == 5
+    assert len(graph.deadlocks) == 2
+
+
 def test_randomized_par_commutativity():
     rng = random.Random(11)
     for _ in range(50):

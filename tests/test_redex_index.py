@@ -39,7 +39,7 @@ def reference_comms(config) -> list[Comm]:
                     continue
                 for roff in offers[rpid]:
                     if (isinstance(roff.action, S.Receive)
-                            and roff.chan_id == soff.chan_id):
+                            and roff.chan.id == soff.chan.id):
                         comms.append(Comm(members[spid], soff,
                                           members[rpid], roff, config.token))
     return sorted(comms, key=Comm.sort_key)
@@ -48,7 +48,7 @@ def reference_comms(config) -> list[Comm]:
 def reference_redexes(config) -> tuple[list, bool]:
     """(enabled redexes in canonical order, whether a budget cut one)."""
     comms = reference_comms(config)
-    enabled = {comm.send.chan_id for comm in comms}
+    enabled = {comm.send.chan.id for comm in comms}
     repls = [m for m in config.soup if isinstance(m.term, S.Repl)]
     spawns, cut = [], False
     for member in repls:
@@ -61,7 +61,7 @@ def reference_redexes(config) -> tuple[list, bool]:
                 trial = step(trial, ReplSpawn(other, trial.token))
         if not any(
             (comm.sender.pid in own or comm.receiver.pid in own)
-            and comm.send.chan_id not in enabled
+            and comm.send.chan.id not in enabled
             for comm in reference_comms(trial)
         ):
             continue
