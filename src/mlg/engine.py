@@ -6,10 +6,12 @@ reduction step is either a synchronous communication (Comm) or a lazy
 replication unfolding (ReplSpawn). The scheduler picks uniformly among the
 canonically ordered enabled redexes with a seeded generator, so identical
 (program, seed, maxSteps) triples produce byte-identical traces. It indexes
-each member's offers by channel, counts the redexes from the index and
-builds only the one the seed picks, so a step costs O(members). A redex
-carries the soup members and the offers it was built from, and a step
-applies those, finding its members by identity.
+each member's offers by channel, counts the redexes per channel and builds
+only the one the seed picks. A run carries the index from step to step, so
+a step costs the members it removed and inserted, the members whose offers
+wait on a guard and the replications, plus the pick's walk over the
+senders. A redex carries the soup members and the offers it was built
+from, and a step applies those, finding its members by identity.
 """
 
 from __future__ import annotations
@@ -431,104 +433,174 @@ def _offers(config: Configuration,
     return value
 
 
-@dataclass
 class _Index:
-    """The enabled redexes of one configuration, counted per sender, so
-    that the i-th in canonical order can be built without the others."""
-    token: int
-    # (member, send offers, comms it can send) in pid order
-    senders: list[tuple[SoupMember, list[Offer], int]]
-    # channel id -> (member, receive offer) in pid order
-    receivers: dict[int, list[tuple[SoupMember, Offer]]]
-    spawns: list[SoupMember]  # replications whose unfolding enables a comm
-    count: int
+    """The enabled redexes of one configuration, counted per channel, so
+    that the i-th in canonical order can be built without the others.
+    `insert` and `remove` keep it up to date member by member, so `run`
+    carries one index from step to step; `finish` counts from it."""
+    __slots__ = ("token", "next_pid", "members", "receivers", "sends",
+                 "guarded", "repls", "spawns", "count")
+
+    def __init__(self):
+        # pid -> (member, send offers, Counter of its own receive offers'
+        # channel ids or None, receive offers), in pid order
+        self.members: dict[int, tuple] = {}
+        # channel id -> {(pid, path): (member, receive offer)}
+        self.receivers: dict[int, dict] = {}
+        # channel id -> [send offers, (send, receive) offer pairs within
+        # one member]; the latter never talk: a sum cannot talk to itself
+        self.sends: dict[int, list[int]] = {}
+        self.guarded: dict[int, SoupMember] = {}  # pid -> member
+        self.repls: dict[int, SoupMember] = {}  # pid -> member
+
+    def _drop(self, entry: tuple) -> None:
+        member, sends, own, receives = entry
+        for off in receives:
+            table = self.receivers[off.chan.id]
+            del table[member.pid, off.path]
+            if not table:
+                del self.receivers[off.chan.id]
+        for off in sends:
+            counts = self.sends[off.chan.id]
+            counts[0] -= 1
+            if not counts[0]:  # then no pair within a member is left either
+                del self.sends[off.chan.id]
+            elif own:
+                counts[1] -= own[off.chan.id]
+
+    def insert(self, config: Configuration, member: SoupMember) -> None:
+        """Add a member. One whose pid is in already keeps its slot; the
+        caller drops the offers of the entry it replaces first."""
+        pid = member.pid
+        if isinstance(member.term, S.Repl):
+            self.repls[pid] = member
+            return
+        offers = _offers(config, member)
+        if "_offers" not in member.__dict__:  # _offers keeps no guarded ones
+            self.guarded[pid] = member
+        sends, receives = [], []
+        for off in offers:
+            if isinstance(off.action, S.Send):
+                sends.append(off)
+            else:
+                receives.append(off)
+                self.receivers.setdefault(off.chan.id, {})[pid, off.path] = (
+                    member, off)
+        own = (Counter(off.chan.id for off in receives)
+               if sends and receives else None)
+        for off in sends:
+            counts = self.sends.setdefault(off.chan.id, [0, 0])
+            counts[0] += 1
+            if own:
+                counts[1] += own[off.chan.id]
+        self.members[pid] = (member, sends, own, receives)
+
+    def remove(self, member: SoupMember) -> None:
+        self._drop(self.members.pop(member.pid))
+        self.guarded.pop(member.pid, None)
+
+    def advance(self, config: Configuration, redex: Redex) -> "_Index":
+        """Carry the index over to `config`, the successor that applying
+        `redex` to the indexed configuration gave."""
+        if isinstance(redex, Comm):
+            self.remove(redex.sender)
+            self.remove(redex.receiver)
+        elif redex.member.repl_budget is not None:
+            # the spawn decremented the budget on a new member, same pid
+            pid = redex.member.pid
+            self.insert(config, next(m for m in config.soup if m.pid == pid))
+        # a guard can read the store: evaluate it again, in its pid's slot
+        for pid, member in self.guarded.items():
+            self._drop(self.members[pid])
+            self.insert(config, member)
+        # the step's new members come last, with pids from next_pid on
+        added = config.next_pid - self.next_pid
+        for member in config.soup[len(config.soup) - added:]:
+            self.insert(config, member)
+        self.finish(config)
+        return self
+
+    def finish(self, config: Configuration) -> None:
+        """Count the redexes of `config`, whose members are all inserted.
+        Sets config.budget_cut when an exhausted replication's spawn would
+        be enabled."""
+        self.token, self.next_pid = config.token, config.next_pid
+        pairs = {cid: n * len(self.receivers[cid]) - within
+                 for cid, (n, within) in self.sends.items()
+                 if cid in self.receivers}
+        enabled = {cid for cid, n in pairs.items() if n}
+        self.spawns = self._spawns(config, enabled) if self.repls else []
+        self.count = sum(pairs.values()) + len(self.spawns)
+
+    def _spawns(self, config: Configuration, enabled: set) -> list:
+        unfoldings = [(member, _offers(config, member))
+                      for member in self.repls.values()]
+        repl_offers = Counter(o for _, u in unfoldings for o in u.offers)
+
+        def enables_comm(u: Unfolding) -> bool:
+            """A spawn must enable a comm on a channel that has none yet.
+            Other replications, exhausted ones too, count as partners: they
+            could unfold as well."""
+            if any(cid is None or cid not in enabled for cid in u.talks):
+                return True
+            for cid, send in u.offers:
+                partner = (cid, not send)
+                if cid not in enabled and (
+                    cid in (self.receivers if send else self.sends)
+                    or repl_offers[partner] > (partner in u.offers)
+                ):
+                    return True
+            return False
+
+        spawns = []
+        for member, unfolding in unfoldings:
+            if not enables_comm(unfolding):
+                continue
+            if member.repl_budget is not None and member.repl_budget <= 0:
+                config.budget_cut = True  # suppressed; the explorer's frontier
+            else:
+                spawns.append(member)
+        return spawns
 
     def comms(self, member: SoupMember, sends: list[Offer]) -> list[Comm]:
         comms = [
             Comm(member, off, partner, roff, self.token)
             for off in sends
-            for partner, roff in self.receivers.get(off.chan.id, ())
+            for partner, roff in self.receivers.get(off.chan.id, {}).values()
             if partner is not member
         ]
         comms.sort(key=Comm.sort_key)
         return comms
 
     def redex(self, i: int) -> Redex:
-        for member, sends, n in self.senders:
+        receivers = self.receivers
+        for member, sends, own, _ in self.members.values():  # in pid order
+            n = 0
+            for off in sends:
+                n += len(receivers.get(off.chan.id, ()))
+                if own:
+                    n -= own[off.chan.id]
             if i < n:
                 return self.comms(member, sends)[i]
             i -= n
         return ReplSpawn(self.spawns[i], self.token)
 
     def redexes(self) -> list[Redex]:
-        comms = [comm for member, sends, _ in self.senders
-                 for comm in self.comms(member, sends)]
+        comms = [comm for member, sends, _, _ in self.members.values()
+                 if sends for comm in self.comms(member, sends)]
         return comms + [ReplSpawn(m, self.token) for m in self.spawns]
 
 
 def _index(config: Configuration) -> _Index:
-    """Index the soup's offers by channel; costs O(members) given the
-    cached offers. Sets config.budget_cut when an exhausted replication's
-    spawn would be enabled."""
-    members, receivers, repls = [], {}, []
-    for member in config.soup:  # in pid order
-        if isinstance(member.term, S.Repl):
-            repls.append(member)
-            continue
-        offers = _offers(config, member)
-        for off in offers:
-            if isinstance(off.action, S.Receive):
-                receivers.setdefault(off.chan.id, []).append((member, off))
-        members.append((member, offers))
-    senders, sending, enabled = [], set(), set()
-    for member, offers in members:
-        sends = [off for off in offers if isinstance(off.action, S.Send)]
-        if not sends:
-            continue
-        # a sum cannot talk to itself: drop its own receive offers
-        own = (Counter(off.chan.id for off in offers
-                       if isinstance(off.action, S.Receive))
-               if len(sends) < len(offers) else None)
-        n = 0
-        for off in sends:
-            cid = off.chan.id
-            sending.add(cid)
-            partners = len(receivers.get(cid, ()))
-            if own:
-                partners -= own[cid]
-            if partners:
-                enabled.add(cid)
-                n += partners
-        senders.append((member, sends, n))
-
-    unfoldings = [(member, _offers(config, member)) for member in repls]
-    repl_offers = Counter(o for _, u in unfoldings for o in u.offers)
-
-    def enables_comm(u: Unfolding) -> bool:
-        """A spawn must enable a comm on a channel that has none yet. Other
-        replications, exhausted ones too, count as partners: they could
-        unfold as well."""
-        if any(cid is None or cid not in enabled for cid in u.talks):
-            return True
-        for cid, send in u.offers:
-            partner = (cid, not send)
-            if cid not in enabled and (
-                cid in (receivers if send else sending)
-                or repl_offers[partner] > (partner in u.offers)
-            ):
-                return True
-        return False
-
-    spawns = []
-    for member, unfolding in unfoldings:
-        if not enables_comm(unfolding):
-            continue
-        if member.repl_budget is not None and member.repl_budget <= 0:
-            config.budget_cut = True  # suppressed; the explorer's frontier
-        else:
-            spawns.append(member)
-    count = sum(n for _, _, n in senders) + len(spawns)
-    return _Index(config.token, senders, receivers, spawns, count)
+    """A fresh index of the soup: insert every member, then finish. `run`
+    builds one and carries it on with `advance`, which costs only the
+    members a step removed and inserted, the guarded members and the
+    replications."""
+    index = _Index()
+    for member in config.soup:
+        index.insert(config, member)
+    index.finish(config)
+    return index
 
 
 def enabled_redexes(config: Configuration) -> list[Redex]:
@@ -640,11 +712,13 @@ def run(
     """Run to termination/deadlock/step-limit under the seeded scheduler."""
     rng = random.Random(seed)
     config = initial_configuration(program, annotations)
+    index = redex = None
     while True:
         if config.step_count >= max_steps:
             verdict = STEP_LIMIT
             break
-        index = _index(config)
+        index = (_index(config) if redex is None
+                 else index.advance(config, redex))
         if not index.count:
             verdict = TERMINATED if not config.soup else DEADLOCK
             break

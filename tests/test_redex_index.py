@@ -6,10 +6,13 @@ unfolding, next to one real unfolding of every other replication, adds a
 comm on a channel that has none. On configurations taken along seeded runs
 and one branching step beyond, the index must count the same redexes, build
 the same i-th redex for every i and flag the same replication-budget cuts.
+The index `run` carries from step to step must equal a fresh one after
+every step, and keep no channel that no live member offers on.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -147,10 +150,14 @@ def test_index_matches_reference_on_hand_built_soups():
         walk(config, seed, steps=8)
 
 
-def test_index_matches_reference_on_generated_terms():
+def termgen_seeds() -> list[int]:
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    seeds = [int(name.split("/")[1]) for name in golden
-             if name.startswith("termgen/")]
+    return [int(name.split("/")[1]) for name in golden
+            if name.startswith("termgen/")]
+
+
+def test_index_matches_reference_on_generated_terms():
+    seeds = termgen_seeds()
     assert len(seeds) >= 200
     for seed in seeds:
         term = gen_proc(random.Random(seed), depth=5)
@@ -161,6 +168,85 @@ def test_index_matches_reference_on_wide_soups():
     for seed, (k, chans) in enumerate([(6, 1), (10, 2), (12, 3)]):
         program, annotations = _checked(wide_text(seed, k, chans))
         walk(initial_configuration(program, annotations), seed, steps=4)
+
+
+def carried(config, seed: int):
+    """Step a seeded run the way `run` does, yielding each configuration
+    with the index carried over to it."""
+    rng = random.Random(seed)
+    config.trace = None
+    index = E._index(config)
+    while index.count:
+        redex = index.redex(rng.randrange(index.count))
+        config = step(config, redex)
+        index.advance(config, redex)
+        yield config, index
+
+
+def assert_carried_matches_fresh(config, seed: int, steps: int) -> None:
+    for config, index in itertools.islice(carried(config, seed), steps):
+        cut, config.budget_cut = config.budget_cut, False
+        fresh = E._index(config)
+        assert config.budget_cut == cut
+        assert index.count == fresh.count
+        assert index.spawns == fresh.spawns
+        assert ([index.redex(i) for i in range(index.count)]
+                == [fresh.redex(i) for i in range(fresh.count)])
+
+
+# an update that turns one guarded send off and another on, while both
+# have partners, and a guarded replication
+GUARD_FLIP = [
+    "o!([v = 0]) . 0", "o?(q) . 0", "d?(a) . 0", "c?(b) . 0", "c?(e) . 0",
+    "o?(q) . ([q.v = 0] d!(5) . 0 | o!(q.[v <= 1]) . 0 | [q.v = 1] c!(6) . 0"
+    " | !([q.v = 1] c!(7) . 0))",
+]
+
+
+def test_carried_index_matches_fresh_on_hand_built_soups():
+    for seed in range(150):
+        rng = random.Random(seed)
+        snippets = rng.choices(SNIPPETS, k=rng.randint(1, 6))
+        if seed < 20:
+            snippets = GUARD_FLIP + snippets[:1]
+        budget = rng.choice([None, 0, 1, 2])
+        program, annotations = _checked(soup_text(snippets))
+        config = initial_configuration(program, annotations,
+                                       repl_budget=budget)
+        assert_carried_matches_fresh(config, seed, steps=30)
+
+
+def test_carried_index_matches_fresh_on_generated_terms():
+    for seed in termgen_seeds():
+        term = gen_proc(random.Random(seed), depth=5)
+        assert_carried_matches_fresh(
+            initial_configuration(proc_program(term)), seed, steps=20)
+
+
+def test_carried_index_matches_fresh_on_wide_soups():
+    for seed, (k, chans) in enumerate([(6, 1), (10, 2), (12, 3), (24, 4)]):
+        program, annotations = _checked(wide_text(seed, k, chans))
+        assert_carried_matches_fresh(
+            initial_configuration(program, annotations), seed, steps=k)
+
+
+def test_carried_index_keeps_only_live_channels():
+    # every unfolding restricts a fresh channel r, used by two members for
+    # a few steps; the index must let go of it when they are gone
+    program, annotations = _checked(
+        "chan req : nat\nchan done : nat\n"
+        "system = !req?(x) . (new r : nat in (r!(x) . 0 | r?(y) . done!(y)"
+        " . 0)) | !req!(1) . 0 | !done?(a) . 0\n")
+    config = initial_configuration(program, annotations)
+    for config, index in itertools.islice(carried(config, 0), 4000):
+        pass
+    assert config.step_count == 4000 and config.next_chan > 600
+    live = {off.chan.id for m in config.soup
+            if not isinstance(m.term, S.Repl)
+            for off in member_offers(config, m)}
+    assert set(index.receivers) | set(index.sends) <= live
+    assert list(index.members) == [m.pid for m in config.soup
+                                   if not isinstance(m.term, S.Repl)]
 
 
 def _count_offer_calls(monkeypatch) -> list:
