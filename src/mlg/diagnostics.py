@@ -8,7 +8,8 @@ from typing import NamedTuple
 
 class Span(NamedTuple):
     """Half-open character range into a source text, with 1-based line/col.
-    A tuple, since the lexer builds one per token."""
+    The parser builds one for each token that a node or a diagnostic points
+    at."""
 
     start: int = 0
     end: int = 0

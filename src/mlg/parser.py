@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import accumulate, compress, repeat
+from operator import add
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, MlgError, Span
@@ -13,6 +16,8 @@ KEYWORDS = {
     "z", "succ", "rec", "with", "fun", "nat",
     "new", "in", "def", "chan", "proc", "system",
 }
+SYMBOLS = {"->", "<=", "(", ")", "[", "]", "{", "}",
+           ".", ",", ":", "!", "?", "+", "|", "="}
 
 
 class Token(NamedTuple):
@@ -27,45 +32,76 @@ class ParseFailure(Exception):
         super().__init__(message)
 
 
-# One alternative per token class, tried in order; `--` starts a comment
-# before `->` is tried. Words and digits are ASCII only, and any other
-# character is `bad`.
+# Blanks (white space and comments) or one token: a word, a number, a
+# symbol, or any other character, which is bad. The matches tile the text.
+# `--` starts a comment before `->` is tried. Words and digits are ASCII
+# only.
 _TOKEN = re.compile(r"""
-    (?P<skip> [ \t\r\n]+ | --[^\n]* )
-  | (?P<word> [A-Za-z_][A-Za-z0-9_]* )
-  | (?P<number> [0-9]+ )
-  | (?P<symbol> -> | <= | [()\[\]{}.,:!?+|=] )
-  | (?P<bad> . )
+    [ \t\r\n]+ | --[^\n]*
+  | [A-Za-z_][A-Za-z0-9_]* | [0-9]+
+  | -> | <= | [()\[\]{}.,:!?+|=]
+  | .
 """, re.VERBOSE | re.DOTALL)
 
+# A match's kind, looked up by its text for keywords, symbols and a lone
+# `-`, and else by its first character. Blanks, and only they, get the
+# false kind "".
+_KIND = {word: word for word in KEYWORDS | SYMBOLS} | {"-": "bad"}
+_FIRST_KIND = (dict.fromkeys("_abcdefghijklmnopqrstuvwxyz"
+                             "ABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")
+               | dict.fromkeys("0123456789", "number")
+               | dict.fromkeys(" \t\r\n-", ""))
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    # line_start is the offset just past the last newline; a token's col
-    # is counted from it
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        start, end = m.span()
-        if kind == "skip":
-            newlines = text.count("\n", start, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, end) + 1
-            continue
-        word = m.group()
-        span = Span(start, end, line, start - line_start + 1)
-        if kind == "word":
-            append(Token(word if word in KEYWORDS else "ident", word, span))
-        elif kind == "number":
-            append(Token("number", word, span))
-        elif kind == "symbol":
-            append(Token(word, word, span))
-        else:
-            raise ParseFailure(f"unexpected character {word!r}", span)
-    n = len(text)
-    append(Token("eof", "", Span(n, n, line, n - line_start + 1)))
+_new_tuple = tuple.__new__
+
+
+class Tokens:
+    """The tokens of one text, eof included, as parallel lists. A token's
+    `Span` is built only when asked for, from its start offset and the
+    offsets of the text's newlines; iterating builds every token's."""
+
+    __slots__ = ("kinds", "texts", "starts", "newlines")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
+                 newlines: list[int]):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self.newlines = newlines  # -1, then the offset of each newline
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self):
+        spans = map(self.span, range(len(self.kinds)))
+        return map(Token, self.kinds, self.texts, spans)
+
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        line = bisect_left(self.newlines, start)
+        # tuple.__new__ skips the Python-level __new__ of Span(...)
+        return _new_tuple(Span, (start, start + len(self.texts[i]), line,
+                                 start - self.newlines[line - 1]))
+
+
+def tokenize(text: str) -> Tokens:
+    matches = _TOKEN.findall(text)
+    kinds = [_KIND.get(m) or _FIRST_KIND.get(m[0], "bad") for m in matches]
+    starts = accumulate(map(len, matches), initial=0)
+    # compressing by kind drops the blanks, whose kind is the only false one
+    texts = [*compress(matches, kinds), ""]
+    starts = [*compress(starts, kinds), len(text)]
+    kinds = [*compress(kinds, kinds), "eof"]
+    lines = text.split("\n")
+    lines.pop()  # the text after the last newline
+    # each line's length and its newline, summed up from -1
+    newlines = list(accumulate(map(add, map(len, lines), repeat(1)),
+                               initial=-1))
+    tokens = Tokens(kinds, texts, starts, newlines)
+    if "bad" in kinds:
+        i = kinds.index("bad")
+        raise ParseFailure(f"unexpected character {texts[i]!r}",
+                           tokens.span(i))
     return tokens
 
 
@@ -76,47 +112,47 @@ _ATOM_START = {"ident", "number", "z", "succ", "("}
 class Parser:
     def __init__(self, text: str, filename: str = "<input>"):
         self.filename = filename
-        self.tokens = tokenize(text)
+        tokens = tokenize(text)
+        self.kinds, self.texts, self.span = (
+            tokens.kinds, tokens.texts, tokens.span)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.proc_refs: list[S.ProcRef] = []
 
     # -- token plumbing ----------------------------------------------------
+    # Tokens are read by index; the current one is `self.pos`, which never
+    # moves past the eof token.
 
-    def peek(self, offset: int = 0) -> Token:
-        if not offset:
-            return self.tokens[self.pos]  # never past the eof token
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def next(self) -> int:
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self.pos = i + 1
+        return i
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.kinds[self.pos] == kind
 
-    def expect(self, kind: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise ParseFailure(
-                f"expected '{kind}', found '{tok.text or 'end of input'}'",
-                tok.span,
-            )
+    def found(self, i: int) -> str:
+        return self.texts[i] or "end of input"
+
+    def expect(self, kind: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise ParseFailure(f"expected '{kind}', found '{self.found(i)}'",
+                               self.span(i))
         if kind != "eof":
-            self.pos += 1
-        return tok
+            self.pos = i + 1
+        return i
 
     def error(self, message: str, span: Span | None = None):
         self.diagnostics.append(
-            Diagnostic(message, span or self.peek().span,
+            Diagnostic(message, span or self.span(self.pos),
                        filename=self.filename)
         )
 
     def name(self, kind: str = S.VARIABLE) -> S.Name:
-        tok = self.expect("ident")
-        return S.Name(tok.text, kind, tok.span)
+        i = self.expect("ident")
+        return S.Name(self.texts[i], kind, self.span(i))
 
     # -- types and sorts ---------------------------------------------------
 
@@ -128,16 +164,16 @@ class Parser:
         return left
 
     def parse_type_atom(self) -> S.CompType:
-        tok = self.peek()
-        if tok.kind == "nat":
+        kind = self.kinds[self.pos]
+        if kind == "nat":
             self.next()
             return S.NAT
-        if tok.kind == "(":
+        if kind == "(":
             self.next()
             ty = self.parse_type()
             self.expect(")")
             return ty
-        if tok.kind == "[":
+        if kind == "[":
             self.next()
             sig: list[tuple[S.Name, S.CompType]] = []
             while True:
@@ -156,7 +192,9 @@ class Parser:
                     )
                 seen.add(lab.text)
             return S.ObjType(tuple(sig))
-        raise ParseFailure(f"expected a type, found '{tok.text}'", tok.span)
+        i = self.pos
+        raise ParseFailure(f"expected a type, found '{self.texts[i]}'",
+                           self.span(i))
 
     def parse_sort(self) -> T.ChannelSort:
         if self.at("chan"):
@@ -170,22 +208,22 @@ class Parser:
     # -- computation expressions -------------------------------------------
 
     def parse_expr(self) -> S.CompExpr:
-        tok = self.peek()
-        if tok.kind == "fun":
-            self.next()
+        kind = self.kinds[self.pos]
+        if kind == "fun":
+            span = self.span(self.next())
             self.expect("(")
             param = self.name()
             self.expect(":")
             param_type = self.parse_type()
             self.expect(")")
             body = self.parse_expr()
-            return S.Lambda(param, param_type, body, tok.span)
-        if tok.kind == "rec":
+            return S.Lambda(param, param_type, body, span)
+        if kind == "rec":
             return self.parse_rec()
         return self.parse_app()
 
     def parse_rec(self) -> S.CompExpr:
-        tok = self.expect("rec")
+        span = self.span(self.expect("rec"))
         scrutinee = self.parse_app()
         self.expect("{")
         self.expect("z")
@@ -207,12 +245,12 @@ class Parser:
         self.expect("}")
         return S.Rec(
             scrutinee, zero_branch, succ_binder, rec_binder, succ_branch,
-            tok.span,
+            span,
         )
 
     def parse_app(self) -> S.CompExpr:
         expr = self.parse_postfix()
-        while self.peek().kind in _ATOM_START:
+        while self.kinds[self.pos] in _ATOM_START:
             arg = self.parse_postfix()
             expr = S.App(expr, arg, expr.span)
         return expr
@@ -220,10 +258,11 @@ class Parser:
     def parse_postfix(self, allow_update: bool = False):
         expr = self.parse_atom()
         while self.at("."):
-            if self.peek(1).kind == "[":
+            if self.kinds[self.pos + 1] == "[":
                 if not allow_update:
                     raise ParseFailure(
-                        "object update is not allowed here", self.peek().span
+                        "object update is not allowed here",
+                        self.span(self.pos),
                     )
                 self.next()  # .
                 updates = self.parse_field_list("<=")
@@ -234,30 +273,31 @@ class Parser:
         return expr
 
     def parse_atom(self) -> S.CompExpr:
-        tok = self.peek()
-        if tok.kind == "z":
-            self.next()
-            return S.NatLit(0, tok.span)
-        if tok.kind == "number":
-            self.next()
-            return S.NatLit(int(tok.text), tok.span)
-        if tok.kind == "succ":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "z":
+            self.pos = i + 1
+            return S.NatLit(0, self.span(i))
+        if kind == "number":
+            self.pos = i + 1
+            return S.NatLit(int(self.texts[i]), self.span(i))
+        if kind == "succ":
+            self.pos = i + 1
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return S.succ(arg, tok.span)
-        if tok.kind == "ident":
-            self.next()
-            return S.Var(S.Name(tok.text, S.VARIABLE, tok.span), tok.span)
-        if tok.kind == "(":
-            self.next()
+            return S.succ(arg, self.span(i))
+        if kind == "ident":
+            self.pos = i + 1
+            span = self.span(i)
+            return S.Var(S.Name(self.texts[i], S.VARIABLE, span), span)
+        if kind == "(":
+            self.pos = i + 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
         raise ParseFailure(
-            f"expected an expression, found '{tok.text or 'end of input'}'",
-            tok.span,
+            f"expected an expression, found '{self.found(i)}'", self.span(i)
         )
 
     def parse_field_list(self, sep: str) -> tuple:
@@ -280,33 +320,33 @@ class Parser:
                 )
             seen.add(lab.text)
         if not fields:
-            raise ParseFailure("at least one field required", open_tok.span)
+            raise ParseFailure("at least one field required",
+                               self.span(open_tok))
         return tuple(fields)
 
     # -- payloads ----------------------------------------------------------
 
     def parse_payload(self) -> S.Payload:
-        tok = self.peek()
-        if tok.kind == "[":
+        span = self.span(self.pos)
+        if self.at("["):
             fields = self.parse_field_list("=")
-            return S.ObjPayload(S.MakeObject(fields, tok.span), tok.span)
+            return S.ObjPayload(S.MakeObject(fields, span), span)
         expr = self.parse_payload_expr()
         if isinstance(expr, (S.MakeObject, S.UpdateObject)):
-            return S.ObjPayload(expr, tok.span)
+            return S.ObjPayload(expr, span)
         if isinstance(expr, S.Var):
             # bare identifier: channel vs variable resolved from scope later
-            return S.NamePayload(expr.name, tok.span)
-        return S.CompPayload(expr, tok.span)
+            return S.NamePayload(expr.name, span)
+        return S.CompPayload(expr, span)
 
     def parse_payload_expr(self):
         """Like parse_expr but admitting a trailing `.[l <= e, ...]` update."""
-        tok = self.peek()
-        if tok.kind in ("fun", "rec"):
+        if self.kinds[self.pos] in ("fun", "rec"):
             return self.parse_expr()
         expr = self.parse_postfix(allow_update=True)
         if isinstance(expr, S.UpdateObject):
             return expr
-        while self.peek().kind in _ATOM_START:
+        while self.kinds[self.pos] in _ATOM_START:
             arg = self.parse_postfix()
             expr = S.App(expr, arg, expr.span)
         return expr
@@ -326,7 +366,7 @@ class Parser:
         term = self.parse_prefixed()
         if not self.at("+"):
             return term
-        plus_span, operands = self.peek().span, []
+        plus_span, operands = self.span(self.pos), []
         while True:
             if isinstance(term, S.Sum):  # a parenthesized sum
                 operands.extend(term.operands)
@@ -340,75 +380,77 @@ class Parser:
             term = self.parse_prefixed()
 
     def parse_prefixed(self) -> S.ProcTerm:
-        # a chain of actions is collected, then folded from its end
-        heads, tok = [], self.peek()
-        while tok.kind == "[" or (
-            tok.kind == "ident" and self.peek(1).kind in ("!", "?")
+        # a chain of actions is collected, then folded from its end; a
+        # prefix is spanned by its action's first token, as the action is
+        kinds, actions = self.kinds, []
+        while kinds[self.pos] == "[" or (
+            kinds[self.pos] == "ident" and kinds[self.pos + 1] in ("!", "?")
         ):
-            heads.append((self.parse_action(), tok.span))
+            actions.append(self.parse_action())
             self.expect(".")
-            tok = self.peek()
-        term = self.parse_unprefixed(tok)
-        for action, span in reversed(heads):
-            term = S.Prefix(action, term, span)
+        term = self.parse_unprefixed()
+        for action in reversed(actions):
+            term = S.Prefix(action, term, action.span)
         return term
 
-    def parse_unprefixed(self, tok: Token) -> S.ProcTerm:
-        if tok.kind == "number":
-            if tok.text != "0":
+    def parse_unprefixed(self) -> S.ProcTerm:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "number":
+            if self.texts[i] != "0":
                 raise ParseFailure(
-                    f"expected a process, found number '{tok.text}'", tok.span
+                    f"expected a process, found number '{self.texts[i]}'",
+                    self.span(i),
                 )
             self.next()
-            return S.Nil(tok.span)
-        if tok.kind == "!":
+            return S.Nil(self.span(i))
+        if kind == "!":
             self.next()
-            return S.Repl(self.parse_prefixed(), tok.span)
-        if tok.kind == "new":
+            return S.Repl(self.parse_prefixed(), self.span(i))
+        if kind == "new":
             self.next()
             chan = self.name(S.CHANNEL)
             self.expect(":")
             sort = self.parse_sort()
             self.expect("in")
             body = self.parse_proc()
-            return S.Restrict(chan, sort, body, tok.span)
-        if tok.kind == "(":
+            return S.Restrict(chan, sort, body, self.span(i))
+        if kind == "(":
             self.next()
             term = self.parse_proc()
             self.expect(")")
             return term
-        if tok.kind == "ident":
-            self.next()
-            ref = S.ProcRef(S.Name(tok.text, S.VARIABLE, tok.span), tok.span)
+        if kind == "ident":
+            name = self.name()
+            ref = S.ProcRef(name, name.span)
             self.proc_refs.append(ref)
             return ref
         raise ParseFailure(
-            f"expected a process, found '{tok.text or 'end of input'}'",
-            tok.span,
+            f"expected a process, found '{self.found(i)}'", self.span(i)
         )
 
     def parse_action(self) -> S.ProcAction:
-        tok = self.peek()
-        if tok.kind == "[":
+        span = self.span(self.pos)
+        if self.at("["):
             self.next()
             left = self.parse_payload()
             self.expect("=")
             right = self.parse_payload()
             self.expect("]")
             inner = self.parse_action()
-            return S.Match(left, right, inner, tok.span)
+            return S.Match(left, right, inner, span)
         chan = self.name(S.CHANNEL)
         if self.at("!"):
             self.next()
             self.expect("(")
             payload = self.parse_payload()
             self.expect(")")
-            return S.Send(chan, payload, tok.span)
+            return S.Send(chan, payload, span)
         self.expect("?")
         self.expect("(")
         binder = self.name()
         self.expect(")")
-        return S.Receive(chan, binder, tok.span)
+        return S.Receive(chan, binder, span)
 
     # -- top level ---------------------------------------------------------
 
@@ -430,40 +472,40 @@ class Parser:
             self.proc_refs.clear()
 
         while not self.at("eof"):
-            tok = self.peek()
-            if tok.kind == "def":
+            i = self.pos
+            kind = self.kinds[i]
+            if kind == "def":
                 self.next()
                 name = self.name()
                 declare(name)
                 self.expect("=")
-                items.append(S.DefDef(name, self.parse_expr(), tok.span))
-            elif tok.kind == "chan":
+                items.append(S.DefDef(name, self.parse_expr(), self.span(i)))
+            elif kind == "chan":
                 self.next()
                 name = self.name(S.CHANNEL)
                 declare(name)
                 self.expect(":")
-                items.append(S.ChanDecl(name, self.parse_sort(), tok.span))
-            elif tok.kind == "proc":
+                items.append(S.ChanDecl(name, self.parse_sort(), self.span(i)))
+            elif kind == "proc":
                 self.next()
                 name = self.name()
                 declare(name)
                 self.expect("=")
                 body = self.parse_proc()
                 resolve_refs()
-                items.append(S.ProcDef(name, body, tok.span))
+                items.append(S.ProcDef(name, body, self.span(i)))
                 proc_names.add(name.text)
-            elif tok.kind == "system":
+            elif kind == "system":
                 self.next()
                 self.expect("=")
                 if entry is not None:
-                    self.error("duplicate 'system' entry", tok.span)
+                    self.error("duplicate 'system' entry", self.span(i))
                 entry = self.parse_proc()
                 resolve_refs()
             else:
                 raise ParseFailure(
-                    f"expected a top-level item, found "
-                    f"'{tok.text or 'end of input'}'",
-                    tok.span,
+                    f"expected a top-level item, found '{self.found(i)}'",
+                    self.span(i),
                 )
         return S.Program(tuple(items), entry)
 
@@ -474,7 +516,11 @@ def _run(text: str, filename: str, production) -> object:
     try:
         parser = Parser(text, filename)  # lexing may fail too
         diagnostics = parser.diagnostics
-        result = production(parser)
+        try:
+            result = production(parser)
+        except RecursionError:  # the parser recurses once per nesting level
+            raise ParseFailure("nesting too deep",
+                               parser.span(parser.pos)) from None
         parser.expect("eof")
     except ParseFailure as exc:
         diag = Diagnostic(

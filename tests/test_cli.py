@@ -454,3 +454,40 @@ def test_big_inputs_need_no_deep_recursion(capsys, tmp_path, case, command):
     assert "Traceback" not in err and "error" not in err
     if command == "fmt":
         assert out == text
+
+
+# The parser recurses once per level of nested expressions, parentheses,
+# `new` and `!`. Nesting deeper than that allows is a diagnostic at the
+# token where parsing stopped, which is one of the nesting's own tokens.
+NESTED = {
+    "succ-250": (f"{CD}system = c!({'succ(' * 250}z{')' * 250}) . 0"
+                 f" | c?(x) . 0\n", ("succ(", "(")),
+    "parens-1500": (f"{CD}system = {'(' * 1500}c!(1) . 0{')' * 1500}"
+                    f" | c?(x) . 0\n", ("(",)),
+    "new-1500": (f"{CD}system = {'new e : nat in ' * 1500}c!(1) . 0"
+                 f" | c?(x) . 0\n", ("new", "e", ":", "nat", "in")),
+    "repl-1500": (f"{CD}system = {'!' * 1500}c!(1) . 0 | c?(x) . 0\n",
+                  ("!",)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", sorted(NESTED))
+def test_too_deep_nesting_is_a_diagnostic(capsys, tmp_path, case, command,
+                                          fmt):
+    text, stops = NESTED[case]
+    path = write(tmp_path, text)
+    code, out, err = invoke(capsys, command, path, "--format", fmt)
+    assert (code, out) == (2, "")
+    if fmt == "records":
+        record = json.loads(err)
+        assert record["file"] == path
+        line, col, message = record["line"], record["col"], record["message"]
+    else:
+        where, message = err.rstrip("\n").split(": error: ")
+        file, line, col = where.rsplit(":", 2)
+        assert file == path
+        line, col = int(line), int(col)
+    assert (line, message) == (3, "nesting too deep")
+    assert text.splitlines()[line - 1][col - 1:].startswith(stops)

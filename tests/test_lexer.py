@@ -3,9 +3,11 @@
 `char_tokenize` below is that lexer, kept only as the reference: it moves
 through the text one character at a time and counts lines and columns as it
 goes. Both must give the same (kind, text, start, end, line, col) tuples,
-the eof token included.
+the eof token included, and every span the parser puts on a node must be
+that of the reference token it starts at.
 """
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 from conftest import DEMOS
 
 from mlg import syntax as S
-from mlg.diagnostics import MlgError
+from mlg.diagnostics import DUMMY_SPAN, MlgError
 from mlg.parser import KEYWORDS, parse_program, tokenize
 from mlg.prelude import prelude_source
 from mlg.pretty import pretty_expr, pretty_program
@@ -101,6 +103,60 @@ def test_generated_program_tokens_match_char_lexer():
     for _ in range(100):
         assert_same_tokens(pretty_program(proc_program(gen_proc(rng, 5))))
         assert_same_tokens(pretty_expr(gen_closed_nat_term(rng)))
+
+
+def spanned_nodes(node):
+    """Every node under `node` that the parser gave a span."""
+    stack, found = [node], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(node)
+        elif dataclasses.is_dataclass(node):
+            if getattr(node, "span", DUMMY_SPAN) != DUMMY_SPAN:
+                found.append(node)
+            stack.extend(getattr(node, f.name)
+                         for f in dataclasses.fields(node) if f.name != "span")
+    return found
+
+
+# the kinds of token a node's span may start at, where the grammar fixes them
+STARTS = {
+    S.Name: {"ident"}, S.Var: {"ident"}, S.ProcRef: {"ident"},
+    S.NatLit: {"number", "z", "succ"}, S.Succ: {"succ"},
+    S.Lambda: {"fun"}, S.Rec: {"rec"}, S.MakeObject: {"["},
+    S.Send: {"ident"}, S.Receive: {"ident"}, S.Match: {"["},
+    S.Prefix: {"ident", "["}, S.Nil: {"number"}, S.Repl: {"!"},
+    S.Restrict: {"new"}, S.Sum: {"+"},
+    S.DefDef: {"def"}, S.ChanDecl: {"chan"}, S.ProcDef: {"proc"},
+}
+
+
+def assert_spans_are_tokens(text):
+    tokens = {start: (kind, (start, end, line, col))
+              for kind, _, start, end, line, col in char_tokenize(text)}
+    nodes = spanned_nodes(parse_program(text))
+    assert nodes
+    for node in nodes:
+        kind, span = tokens[node.span.start]
+        assert tuple(node.span) == span, node
+        assert kind in STARTS.get(type(node), {kind}), node
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.mlg")),
+                         ids=lambda p: p.name)
+def test_demo_node_spans_are_char_lexer_tokens(path):
+    assert_spans_are_tokens(Path(path).read_text(encoding="utf-8"))
+
+
+def test_prelude_node_spans_are_char_lexer_tokens():
+    assert_spans_are_tokens(prelude_source())
+
+
+def test_generated_program_node_spans_are_char_lexer_tokens():
+    rng = random.Random(5)
+    for _ in range(100):
+        assert_spans_are_tokens(pretty_program(proc_program(gen_proc(rng, 5))))
 
 
 @pytest.mark.parametrize("text", [

@@ -4,7 +4,9 @@
 that renames or inlines one of them would only show in the traced
 benchmark. Here the tracer is installed on mlg's modules for one small run
 and one small exploration; its counts must move, and `uninstall` must put
-every original back.
+every original back. A parse under the tracer must count one call and as
+many tokens as the reference lexer finds, which holds only while the parser
+lexes through the `tokenize` global that the tracer replaces.
 """
 
 import importlib
@@ -14,6 +16,7 @@ from conftest import REPO_ROOT
 
 from mlg.prelude import load_program
 from mlg.typecheck import check_program
+from test_lexer import char_tokenize
 
 TEXT = "chan c : nat\nsystem = c!(1) . 0 | c?(x) . 0 | !c!(2) . 0\n"
 
@@ -26,11 +29,16 @@ def _tracing():
     return module
 
 
-def test_tracer_counts_and_restores_every_patched_name():
-    tracing = _tracing()
+def _modules(tracing):
+    """The mlg modules the tracer patches, by name."""
     names = {"mlg.store", "mlg.engine"} | {
         owner for _, owners in tracing.FUNCTIONS.values() for owner in owners}
-    modules = {name: importlib.import_module(name) for name in names}
+    return {name: importlib.import_module(name) for name in names}
+
+
+def test_tracer_counts_and_restores_every_patched_name():
+    tracing = _tracing()
+    modules = _modules(tracing)
     patched = [(modules[owner], attr)
                for attr, owners in tracing.FUNCTIONS.values()
                for owner in owners]
@@ -56,3 +64,16 @@ def test_tracer_counts_and_restores_every_patched_name():
         assert tracer.counts[name] > 0, name
     restored = [getattr(owner, attr) for owner, attr in patched]
     assert all(now is then for now, then in zip(restored, originals))
+
+
+def test_traced_parse_counts_its_calls_and_tokens():
+    tracing = _tracing()
+    modules = _modules(tracing)
+    tracer = tracing.Tracer()
+    tracer.install(modules)
+    try:
+        modules["mlg.parser"].parse_program(TEXT)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["parser.calls"] == 1
+    assert tracer.counts["parser.tokens"] == len(char_tokenize(TEXT))
