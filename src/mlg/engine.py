@@ -97,14 +97,9 @@ class Configuration:
     trace: list[TraceEvent] | None = field(default_factory=list)
     next_pid: int = 0
     next_chan: int = 0
-    # ids of the restricted channels a communication has sent; replaced,
-    # never mutated, so clone shares it
-    extruded: frozenset[int] = frozenset()
     # plumbing shared by all configurations of one run
     annotations: dict[int, S.ObjType] = field(default_factory=dict)
     proc_defs: dict[str, S.ProcTerm] = field(default_factory=dict)
-    # the declared channels' explorer rows, ("g", name, sort), sorted
-    chan_decls: tuple[tuple[str, str, str], ...] = ()
     default_repl_budget: int | None = None
     budget_cut: bool = False  # a spawn was suppressed by the repl budget
     token: int = 0  # bumped every step; guards against stale redexes
@@ -113,22 +108,14 @@ class Configuration:
     canon_cache: dict = field(default_factory=dict)
 
     def clone(self) -> "Configuration":
-        return Configuration(
-            soup=list(self.soup),
-            store=self.store.clone(),
-            step_count=self.step_count,
-            trace=self.trace,
-            next_pid=self.next_pid,
-            next_chan=self.next_chan,
-            extruded=self.extruded,
-            annotations=self.annotations,
-            proc_defs=self.proc_defs,
-            chan_decls=self.chan_decls,
-            default_repl_budget=self.default_repl_budget,
-            budget_cut=False,
-            token=self.token,
-            canon_cache=self.canon_cache,
-        )
+        """A copy that shares every field but its own soup list and store,
+        with budget_cut cleared."""
+        new = Configuration.__new__(Configuration)
+        new.__dict__.update(self.__dict__)
+        new.soup = list(self.soup)
+        new.store = self.store.clone()
+        new.budget_cut = False
+        return new
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +147,6 @@ class Comm:
 class ReplSpawn:
     member: SoupMember
     token: int
-
-    def sort_key(self):
-        return (1, self.member.pid, 0, (), (), 0)
 
 
 Redex = Comm | ReplSpawn
@@ -291,7 +275,7 @@ def initial_configuration(
         soup=[], store=ObjectStore(),
         annotations=annotations or {}, default_repl_budget=repl_budget,
     )
-    env, rows = EMPTY_ENV, []
+    env = EMPTY_ENV
     for item in program.defs:
         if isinstance(item, S.DefDef):
             try:
@@ -304,10 +288,8 @@ def initial_configuration(
             env = env.extend(item.name.text, ChanRef(
                 config.next_chan, item.sort, item.name.text, restricted=False))
             config.next_chan += 1
-            rows.append(("g", item.name.text, str(item.sort)))
         else:
             config.proc_defs[item.name.text] = item.body
-    config.chan_decls = tuple(sorted(rows))
     if program.entry is not None:
         insert_term(config, program.entry, env)
     return config
@@ -652,11 +634,6 @@ def step(config: Configuration, redex: Redex) -> Configuration:
         events=update_events,
     )
     _assert_sort(new, value, send.chan, send.action.payload.span)
-    if (isinstance(value, ChanRef) and value.restricted
-            and value.id not in new.extruded):
-        # scope extrusion: the restricted name escapes through a comm
-        new.extruded = new.extruded | {value.id}
-
     insert_term(new, send.continuation, sender.env)
     insert_term(new, receive.continuation,
                 receiver.env.extend(receive.action.binder.text, value))

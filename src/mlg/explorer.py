@@ -2,12 +2,16 @@
 
 States are quotiented by structural congruence: the top-level parallel
 composition (the soup) is flattened and its nils dropped; in each member's
-key, env-bound free names become their values and sum and par operands are
-sorted; top-level restricted channels are numbered by first occurrence in
-the members ordered by key, with restricted channels neutral, then by pid.
-Binder names inside continuations are still compared by name. The object
-store fingerprint is part of state identity, so data-dependent coordination
-is explored correctly.
+key, env-bound free names become their values, a `|` nested directly in
+another is spliced into it, and sum and par operands are sorted; top-level
+restricted channels are numbered by first occurrence in the members ordered
+by key, with restricted channels neutral, then by pid, and a state keeps
+only their sorts in number order. Scope extrusion is a law, so a state does
+not record which restricted channels were sent, and the declared channels,
+the same in every state, are not part of it. Binder names inside
+continuations are still compared by name. The object store fingerprint is
+part of state identity, so data-dependent coordination is explored
+correctly. Deadlock witnesses are read off the edges `explore` records.
 """
 
 from __future__ import annotations
@@ -67,11 +71,17 @@ def _walk(term: S.ProcTerm, env: ValueEnv):
             return ("+", tuple(sorted(walk(op, env, bound)
                                       for op in node.operands)))
         if isinstance(node, S.Par):
-            # folded from the left into binary keys, as if `(a | b) | c`
-            key = walk(node.operands[0], env, bound)
-            for operand in node.operands[1:]:
-                key = ("|", *sorted((key, walk(operand, env, bound))))
-            return key
+            # one flat key per `|`, with nested `|` operands spliced in:
+            # `|` is associative and commutative. Operands are walked left
+            # to right, which orders their restricted channels' occurrences.
+            keys, todo = [], list(reversed(node.operands))
+            while todo:
+                operand = todo.pop()
+                if isinstance(operand, S.Par):
+                    todo.extend(reversed(operand.operands))
+                else:
+                    keys.append(walk(operand, env, bound))
+            return ("|", tuple(sorted(keys)))
         if isinstance(node, S.Nil):
             return ("0",)
         if isinstance(node, S.Restrict):
@@ -157,14 +167,14 @@ def _member_key(cache: dict, member: SoupMember) -> tuple[tuple, tuple]:
 class CanonicalState:
     soup: tuple[tuple, ...]
     store: tuple
-    scopes: tuple[tuple, ...]
+    sorts: tuple[str, ...]  # of the numbered restricted channels, in order
     # tuples do not cache their hashes, so the state hashes its nested
     # keys once, here, instead of on every set and dict operation
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash",
-                           hash((self.soup, self.store, self.scopes)))
+                           hash((self.soup, self.store, self.sorts)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -186,15 +196,11 @@ def canonicalize(config: Configuration) -> CanonicalState:
                                for ref in occurs))
         soup.append(cache.setdefault(numbered, numbered))
     soup.sort()
-    # declared rows are tagged "g", so they sort before the restricted ones
-    rows = config.chan_decls + tuple(sorted(
-        ("x" if ref.id in config.extruded else "r", n, str(ref.sort))
-        for n, ref in alias.values()
-    ))
     soup_key = tuple(soup)
+    sorts = tuple(str(ref.sort) for _, ref in alias.values())
     return CanonicalState(cache.setdefault(soup_key, soup_key),
                           config.store.snapshot(),
-                          cache.setdefault(rows, rows))
+                          cache.setdefault(sorts, sorts))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +276,6 @@ def explore(
     )
     while queue:
         current, state, depth = queue.popleft()
-        current.budget_cut = False
         redexes = enabled_redexes(current)
         if current.budget_cut:
             graph.frontier[state] = {"repl-budget"}
@@ -304,22 +309,20 @@ def explore(
 def find_deadlocks(
     graph: StateGraph,
 ) -> list[tuple[CanonicalState, list[str]]]:
-    """Each deadlock state with one shortest edge path from the initial."""
-    paths: dict[CanonicalState, list[str]] = {graph.initial: []}
-    adjacency: dict[CanonicalState, list[tuple[str, CanonicalState]]] = {}
+    """Each deadlock state with one shortest edge path from the initial.
+
+    `explore` appends edges in BFS order, so a state's first incoming edge
+    is the one that discovered it; following first edges back from a state
+    reaches the initial along a shortest path."""
+    first: dict[CanonicalState, tuple[CanonicalState, str]] = {}
     for src, label, dst in graph.edges:
-        adjacency.setdefault(src, []).append((label, dst))
-    queue = deque([graph.initial])
-    while queue:
-        state = queue.popleft()
-        for label, dst in adjacency.get(state, []):
-            if dst not in paths:
-                paths[dst] = paths[state] + [label]
-                queue.append(dst)
-    result = [
-        (state, paths[state])
-        for state in graph.deadlocks
-        if state in paths
-    ]
+        first.setdefault(dst, (src, label))
+    result = []
+    for state in graph.deadlocks:
+        path, at = [], state
+        while at != graph.initial:
+            at, label = first[at]
+            path.append(label)
+        result.append((state, path[::-1]))
     result.sort(key=lambda pair: (len(pair[1]), pair[1]))
     return result

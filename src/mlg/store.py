@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 from .diagnostics import MlgError
 from . import syntax as S
+from .evaluate import ChanRef, Closure, NatVal, ObjRef
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,6 @@ class StoredObject:
 
 
 def render_value(v) -> str:
-    # local import keeps store free of an evaluate dependency at module load
-    from .evaluate import NatVal, Closure, ObjRef, ChanRef
-
     if isinstance(v, NatVal):
         return str(v.n)
     if isinstance(v, ObjRef):
@@ -54,9 +52,7 @@ class ObjectStore:
         self.write_count = 0  # allocations + updates, for purity assertions
 
     def alloc(self, signature: S.ObjType | None,
-              initial: dict[str, object]) -> "object":
-        from .evaluate import ObjRef
-
+              initial: dict[str, object]) -> ObjRef:
         if signature is not None:
             if set(initial) != set(signature.labels()):
                 raise MlgError(

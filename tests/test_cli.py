@@ -435,11 +435,18 @@ def _twin_chains(n):
     return f"{CD}system = {chain} . 0 | {chain} . 0\n"
 
 
+def _twin_pars(n):
+    # two members with equal keys that each hold a wide `|`
+    inner = " | ".join(["d!(1) . 0"] * n)
+    return f"{CD}system = c!(1) . ({inner}) | c!(1) . ({inner})\n"
+
+
 BIG_INPUTS = {
     "chain-2000": (_chain(2000), {"run": 0, "explore": 5}),
     "par-3000": (_wide_par(3000), {"run": 3, "explore": 3}),
     "sum-3000": (_wide_sum(3000), {"run": 0, "explore": 0}),
     "twin-1500": (_twin_chains(1500), {"run": 3, "explore": 3}),
+    "twin-par-3000": (_twin_pars(3000), {"run": 3, "explore": 3}),
 }
 
 

@@ -1,10 +1,11 @@
 """No process walker recurses once per operand or per action.
 
 Every stage runs here on a 5,000-action chain, a 5,000-operand `|`, a
-5,000-operand `+` and two equal 5,000-action chains with the recursion
-limit lowered to about 100 frames above the test's own depth. A walker
-that recursed per prefix or per operand, or a member key that nested once
-per action, would need thousands of frames and raise RecursionError.
+5,000-operand `+`, two equal 5,000-action chains and two equal
+5,000-operand `|`s under prefixes, with the recursion limit lowered to about
+100 frames above the test's own depth. A walker that recursed per prefix or
+per operand, or a member key that nested once per action or per operand,
+would need thousands of frames and raise RecursionError.
 """
 
 import sys
@@ -34,6 +35,9 @@ PROGRAMS = {
     # the same chain written twice: two equal member keys that compare
     "twin": DECLS + "system = {0} . 0 | {0} . 0\n".format(
         " . ".join(["c!(1)"] * N)),
+    # the same wide `|` under a prefix, written twice
+    "twin-par": DECLS + "system = c!(1) . ({0}) | c!(1) . ({0})\n".format(
+        " | ".join(["d!(1) . 0"] * N)),
 }
 
 

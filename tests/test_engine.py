@@ -123,7 +123,7 @@ def test_redex_from_a_sibling_configuration_rejected():
 
 def test_name_mobility_substitutes_channels():
     program, ann = load(demo_text("mobility.mlg"))
-    config, verdict, trace = run(program, seed=0, annotations=ann)
+    _, verdict, trace = run(program, seed=0, annotations=ann)
     assert verdict == TERMINATED
     comms = [e for e in trace if e.kind == "comm"]
     assert [e.chan for e in comms] == ["a", "c"]
@@ -243,17 +243,19 @@ def test_sort_preserved_on_restricted_channels():
 
 
 def test_scope_extrusion_marks_channel():
-    program, ann = load(demo_text("mobility.mlg"))
-    # restrict c locally so sending it over a counts as extrusion
+    # c is restricted, so sending it over a extrudes its scope: the
+    # receiver's x!(0) then talks to c?(v) on the restricted channel
     src = (
         "chan a : chan(nat)\n"
         "system = new c : nat in"
         " (a!(c) . 0 | c?(v) . 0) | a?(x) . x!(0) . 0\n"
     )
     program, ann = load(src)
-    config, verdict, _ = run(program, seed=0, annotations=ann)
+    _, verdict, trace = run(program, seed=0, annotations=ann)
     assert verdict == TERMINATED
-    assert config.extruded == {1}  # a is channel 0, c is channel 1
+    comms = [(e.chan, e.payload, e.pids) for e in trace if e.kind == "comm"]
+    # a is channel 0 and c channel 1; x!(0) is pid 3, c?(v) pid 1
+    assert comms == [("a", "chan#1", (0, 2)), ("c", "0", (3, 1))]
 
 
 LONG_RUN = (

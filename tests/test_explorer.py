@@ -42,6 +42,10 @@ def test_par_is_commutative_and_associative():
     left = a + "system = (c!(1) . 0 | d!(2) . 0) | c?(x) . 0\n"
     right = a + "system = c?(x) . 0 | (d!(2) . 0 | c!(1) . 0)\n"
     assert canon_of(left) == canon_of(right)
+    # also in a member's key, under a prefix
+    left = a + "system = c!(1) . ((d!(1) . 0 | d!(2) . 0) | d!(3) . 0)\n"
+    right = a + "system = c!(1) . (d!(1) . 0 | (d!(3) . 0 | d!(2) . 0))\n"
+    assert canon_of(left) == canon_of(right)
 
 
 def test_sum_is_commutative():
@@ -64,6 +68,17 @@ def test_distinct_restricted_channels_distinguished():
         " (a!(1) . 0 | b?(x) . 0)\n"
     )
     assert canon_of(one) != canon_of(two)
+
+
+def test_states_do_not_record_which_restricted_channels_were_sent():
+    # sending r over a or 1 over b leaves the same soup, r?(v) . 0 with r
+    # still restricted: one state, whichever branch extruded r
+    program, ann = load(
+        "chan a : chan(nat)\nchan b : nat\n"
+        "system = new r : nat in ((a!(r) . 0 + b!(1) . 0) | r?(v) . 0)"
+        " | (a?(x) . 0 + b?(y) . 0)\n")
+    graph = explore(program, annotations=ann)
+    assert (len(graph.states), len(graph.deadlocks)) == (2, 1)
 
 
 def test_siblings_giving_one_id_to_two_sorts_stay_apart():

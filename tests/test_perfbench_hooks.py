@@ -3,10 +3,11 @@
 `perfbench/tracing.py` replaces mlg's entry points by name, so a refactor
 that renames or inlines one of them would only show in the traced
 benchmark. Here the tracer is installed on mlg's modules for one small run
-and one small exploration; its counts must move, and `uninstall` must put
-every original back. A parse under the tracer must count one call and as
-many tokens as the reference lexer finds, which holds only while the parser
-lexes through the `tokenize` global that the tracer replaces.
+and one small exploration with its deadlock search; its counts must move,
+and `uninstall` must put every original back. A parse under the tracer
+must count one call and as many tokens as the reference lexer finds, which
+holds only while the parser lexes through the `tokenize` global that the
+tracer replaces.
 """
 
 import importlib
@@ -54,14 +55,20 @@ def test_tracer_counts_and_restores_every_patched_name():
     try:
         modules["mlg.engine"].run(program, seed=7, max_steps=20,
                                   annotations=annotations)
-        modules["mlg.explorer"].explore(program, max_depth=3,
-                                        annotations=annotations)
+        graph = modules["mlg.explorer"].explore(program, max_depth=3,
+                                                annotations=annotations)
+        modules["mlg.explorer"].find_deadlocks(graph)
     finally:
         tracer.uninstall()
 
     for name in ("engine.offers", "engine.steps", "store.clones",
                  "engine.enabled_calls", "explorer.states"):
         assert tracer.counts[name] > 0, name
+    # uncut, the exploration canonicalizes its initial state and the
+    # successor at the end of every edge, each once
+    assert not graph.frontier
+    assert tracer.counts["explorer.canonicalize_calls"] == 1 + len(graph.edges)
+    assert any(span[1] == "explorer.deadlocks" for span in tracer.spans)
     restored = [getattr(owner, attr) for owner, attr in patched]
     assert all(now is then for now, then in zip(restored, originals))
 
