@@ -70,6 +70,62 @@ def test_distinct_restricted_channels_distinguished():
     assert canon_of(one) != canon_of(two)
 
 
+def test_restricted_channels_numbered_in_sorted_operand_order():
+    # the inner `|`'s operands sort by key, and their channels are
+    # numbered in that order, not in the order the program writes them
+    src = ("chan c : nat\nsystem = new x : nat in new y : nat in"
+           " (c?(w) . ({}) | {}?(a) . 0)\n")
+    first = canon_of(src.format("x!(1) . 0 | y!(2) . 0", "x"))
+    swapped = canon_of(src.format("y!(2) . 0 | x!(1) . 0", "x"))
+    assert first == swapped
+    # the receiver now waits on the channel of 2, not of 1
+    other = canon_of(src.format("y!(2) . 0 | x!(1) . 0", "y"))
+    assert first != other
+
+
+GRID = (
+    "chan g0 : nat\nsystem = g0?(x1) . g0?(x2) . g0?(x3) . 0"
+    " | new b : nat in (b!(1) . b!(1) . b!(1) . 0"
+    " | b?(x1) . b?(x2) . b?(x3) . 0)"
+    " | g0!(0) . g0!(0) . g0!(0) . 0"
+    " | new b : nat in (b!(1) . b!(1) . b!(1) . 0"
+    " | b?(x1) . b?(x2) . b?(x3) . 0)\n"
+)
+
+
+def test_each_member_is_keyed_once(monkeypatch):
+    import mlg.explorer as E
+
+    # every member canonicalize saw, held so that no id is reused
+    seen: dict[int, object] = {}
+    calls = []
+    member_key, canon = E._member_key, E.canonicalize
+
+    def counting_member_key(cache, member):
+        calls.append(member)
+        return member_key(cache, member)
+
+    def recording_canonicalize(config):
+        seen.update((id(m), m) for m in config.soup)
+        return canon(config)
+
+    monkeypatch.setattr(E, "_member_key", counting_member_key)
+    monkeypatch.setattr(E, "canonicalize", recording_canonicalize)
+    program, ann = load(GRID)
+    graph = explore(program, annotations=ann)
+    assert len(graph.states) == 4 * 10
+    assert len(calls) == len(seen)
+
+
+def test_states_of_two_explorations_are_equal_and_hash_equal():
+    for program, ann in (load(demo_text("race.mlg"), prelude=True),
+                         load(GRID)):
+        one = list(explore(program, annotations=ann).states)
+        two = list(explore(program, annotations=ann).states)
+        assert one == two
+        assert [hash(s) for s in one] == [hash(s) for s in two]
+
+
 def test_states_do_not_record_which_restricted_channels_were_sent():
     # sending r over a or 1 over b leaves the same soup, r?(v) . 0 with r
     # still restricted: one state, whichever branch extruded r
