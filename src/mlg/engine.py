@@ -24,10 +24,9 @@ from dataclasses import dataclass, field, replace
 
 from .diagnostics import MlgError, Span
 from . import syntax as S
-from . import typecheck as T
 from .evaluate import (
-    ChanRef, Closure, EMPTY_ENV, EvalFault, Fuel, NatVal, ObjRef, Value,
-    ValueEnv, eval_comp, value_inhabits,
+    ChanRef, Closure, EMPTY_ENV, EvalFault, Fuel, ObjRef, Value, ValueEnv,
+    eval_comp, value_inhabits,
 )
 from .store import ObjectStore, render_value
 
@@ -313,7 +312,8 @@ def _action_offer(
         action = action.inner
     chan_val = env.maybe(action.chan.text)
     if not isinstance(chan_val, ChanRef):
-        raise EvalFault(f"'{action.chan}' is not a channel in this scope")
+        raise EvalFault(f"'{action.chan}' is not a channel in this scope"
+                        ).at(action.chan.span)
     return Offer(path, action, chan_val, continuation)
 
 
@@ -656,16 +656,8 @@ def _assert_sort(config: Configuration, value: Value,
     """Redundant dynamic check that the payload at `span` inhabits the
     channel sort."""
     sort = chan.sort
-    ok = True
-    if isinstance(sort, T.CarriesChan):
-        ok = isinstance(value, ChanRef)
-    elif isinstance(sort, T.CarriesNat):
-        ok = isinstance(value, NatVal)
-    elif isinstance(sort, T.CarriesFn):
-        ok = value_inhabits(value, sort.fn_type)
-    elif isinstance(sort, T.CarriesObj):
-        ok = value_inhabits(value, sort.signature, config.store)
-    if not ok:
+    if not (isinstance(value, ChanRef) if isinstance(sort, S.ChanSort)
+            else value_inhabits(value, sort, config.store)):
         raise EvalFault(
             f"payload {render_value(value)} does not inhabit sort "
             f"{sort} of channel '{chan.name}'"

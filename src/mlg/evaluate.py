@@ -50,7 +50,7 @@ class ChanRef:
     makes one, and a communication can pass it on. Refs are equal when
     their ids and sorts are; the hash is the id alone."""
     id: int
-    sort: object = field(hash=False)  # typecheck.ChannelSort
+    sort: S.Sort = field(hash=False)
     name: str = field(compare=False)
     restricted: bool = field(compare=False)
 

@@ -22,6 +22,7 @@ ones.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -297,9 +298,10 @@ class StateGraph:
 
 
 def _edge_label(redex: Redex) -> str:
+    """The edge's label, interned: a graph has many edges but few labels."""
     if isinstance(redex, ReplSpawn):
-        return f"spawn(pid{redex.member.pid})"
-    return f"comm({redex.send.chan.name})"
+        return sys.intern(f"spawn(pid{redex.member.pid})")
+    return sys.intern(f"comm({redex.send.chan.name})")
 
 
 def explore(

@@ -10,7 +10,6 @@ from typing import NamedTuple
 
 from .diagnostics import Diagnostic, MlgError, Span
 from . import syntax as S
-from . import typecheck as T
 
 KEYWORDS = {
     "z", "succ", "rec", "with", "fun", "nat",
@@ -196,14 +195,14 @@ class Parser:
         raise ParseFailure(f"expected a type, found '{self.texts[i]}'",
                            self.span(i))
 
-    def parse_sort(self) -> T.ChannelSort:
+    def parse_sort(self) -> S.Sort:
         if self.at("chan"):
             self.next()
             self.expect("(")
             inner = self.parse_sort()
             self.expect(")")
-            return T.CarriesChan(inner)
-        return T.sort_of_type(self.parse_type())
+            return S.ChanSort(inner)
+        return self.parse_type()
 
     # -- computation expressions -------------------------------------------
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from . import syntax as S
-from . import typecheck as T
 
 
 # -- computation expressions ------------------------------------------------
@@ -145,7 +144,6 @@ def pretty(item) -> str:
         return pretty_proc(item)
     if isinstance(item, (S.NamePayload, S.CompPayload, S.ObjPayload)):
         return pretty_payload(item)
-    if isinstance(item, (S.NatType, S.ArrowType, S.ObjType, T.CarriesChan,
-                         T.CarriesNat, T.CarriesFn, T.CarriesObj)):
+    if isinstance(item, (S.NatType, S.ArrowType, S.ObjType, S.ChanSort)):
         return str(item)
     return pretty_expr(item)

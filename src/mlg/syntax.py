@@ -81,6 +81,20 @@ CompType = NatType | ArrowType | ObjType
 NAT = NatType()
 
 
+@dataclass(frozen=True)
+class ChanSort:
+    """The sort of a channel that carries channels of sort `inner`."""
+
+    inner: Sort
+
+    def __str__(self) -> str:
+        return f"chan({self.inner})"
+
+
+# A channel's sort: the computation type it carries, or a channel sort
+Sort = CompType | ChanSort
+
+
 # ---------------------------------------------------------------------------
 # Computation-core expressions
 
@@ -278,7 +292,7 @@ class Par:
 @dataclass(frozen=True)
 class Restrict:
     chan: Name
-    chan_sort: "object"  # ChannelSort; kept untyped to avoid an import cycle
+    chan_sort: Sort
     body: ProcTerm
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
@@ -314,7 +328,7 @@ class DefDef:
 @dataclass(frozen=True)
 class ChanDecl:
     name: Name
-    sort: "object"  # ChannelSort
+    sort: Sort
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
 

@@ -14,62 +14,6 @@ from .diagnostics import Diagnostic, Span
 from . import syntax as S
 
 # ---------------------------------------------------------------------------
-# Channel sorts
-
-
-@dataclass(frozen=True)
-class CarriesChan:
-    inner: "ChannelSort"
-
-    def __str__(self) -> str:
-        return f"chan({self.inner})"
-
-
-@dataclass(frozen=True)
-class CarriesNat:
-    def __str__(self) -> str:
-        return "nat"
-
-
-@dataclass(frozen=True)
-class CarriesFn:
-    fn_type: S.CompType
-
-    def __str__(self) -> str:
-        return str(self.fn_type)
-
-
-@dataclass(frozen=True)
-class CarriesObj:
-    signature: S.ObjType
-
-    def __str__(self) -> str:
-        return str(self.signature)
-
-
-ChannelSort = CarriesChan | CarriesNat | CarriesFn | CarriesObj
-
-
-def sort_of_type(ty: S.CompType) -> ChannelSort:
-    if isinstance(ty, S.NatType):
-        return CarriesNat()
-    if isinstance(ty, S.ArrowType):
-        return CarriesFn(ty)
-    return CarriesObj(ty)
-
-
-def type_of_sort(sort: ChannelSort) -> S.CompType | None:
-    """The computation type a receive binder gets, or None for channel sorts."""
-    if isinstance(sort, CarriesNat):
-        return S.NAT
-    if isinstance(sort, CarriesFn):
-        return sort.fn_type
-    if isinstance(sort, CarriesObj):
-        return sort.signature
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Environments
 
 
@@ -81,18 +25,20 @@ class TypeError_(Exception):
 
 @dataclass(frozen=True)
 class TypeEnv:
-    comp_bindings: dict[str, S.CompType] = field(default_factory=dict)
-    chan_bindings: dict[str, ChannelSort] = field(default_factory=dict)
+    """The names in scope. A variable maps to its type and a channel to
+    ChanSort(its sort): variables and channels share one namespace, as in
+    ValueEnv, so the innermost binder of a name wins."""
 
-    def with_comp(self, name: str, ty: S.CompType) -> "TypeEnv":
-        comp = dict(self.comp_bindings)
-        comp[name] = ty
-        return TypeEnv(comp, self.chan_bindings)
+    bindings: dict[str, S.Sort] = field(default_factory=dict)
 
-    def with_chan(self, name: str, sort: ChannelSort) -> "TypeEnv":
-        chans = dict(self.chan_bindings)
-        chans[name] = sort
-        return TypeEnv(self.comp_bindings, chans)
+    def with_comp(self, name: str, ty: S.Sort) -> "TypeEnv":
+        """Bind `name` at `ty`; a ChanSort makes it a channel."""
+        bindings = dict(self.bindings)
+        bindings[name] = ty
+        return TypeEnv(bindings)
+
+    def with_chan(self, name: str, sort: S.Sort) -> "TypeEnv":
+        return self.with_comp(name, S.ChanSort(sort))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +48,8 @@ class TypeEnv:
 def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
     """Type of `e` under `env`; raises TypeError_ with a span on failure."""
     if isinstance(e, S.Var):
-        ty = env.comp_bindings.get(e.name.text)
-        if ty is None:
+        ty = env.bindings.get(e.name.text)
+        if ty is None or isinstance(ty, S.ChanSort):
             raise TypeError_(f"unbound variable '{e.name}'", e.span)
         return ty
     if isinstance(e, S.NatLit):
@@ -215,12 +161,12 @@ CAT_FN = "function"
 CAT_OBJ = "object"
 
 
-def _category_of_sort(sort: ChannelSort) -> str:
-    if isinstance(sort, CarriesChan):
+def _category_of_sort(sort: S.Sort) -> str:
+    if isinstance(sort, S.ChanSort):
         return CAT_CHAN
-    if isinstance(sort, CarriesNat):
+    if isinstance(sort, S.NatType):
         return CAT_NAT
-    if isinstance(sort, CarriesFn):
+    if isinstance(sort, S.ArrowType):
         return CAT_FN
     return CAT_OBJ
 
@@ -229,19 +175,17 @@ def _payload_sort(
     env: TypeEnv,
     payload: S.Payload,
     annotations: dict[int, S.ObjType] | None,
-) -> ChannelSort:
+) -> S.Sort:
     """The sort a payload would need its channel to carry."""
     if isinstance(payload, S.NamePayload):
-        text = payload.name.text
-        if text in env.chan_bindings:
-            return CarriesChan(env.chan_bindings[text])
-        if text in env.comp_bindings:
-            return sort_of_type(env.comp_bindings[text])
-        raise TypeError_(f"unbound name '{text}'", payload.span)
+        sort = env.bindings.get(payload.name.text)
+        if sort is None:
+            raise TypeError_(f"unbound name '{payload.name}'", payload.span)
+        return sort
     if isinstance(payload, S.CompPayload):
-        return sort_of_type(infer_comp(env, payload.expr))
+        return infer_comp(env, payload.expr)
     # ObjPayload
-    return CarriesObj(check_data(env, payload.data, annotations))
+    return check_data(env, payload.data, annotations)
 
 
 def _check_action(
@@ -283,12 +227,13 @@ def _check_action(
             return None
         return _check_action(env, action.inner, diags, annotations)
 
-    sort = env.chan_bindings.get(action.chan.text)
-    if sort is None:
+    chan = env.bindings.get(action.chan.text)
+    if not isinstance(chan, S.ChanSort):
         diags.append(
             Diagnostic(f"unsorted channel '{action.chan}'", action.chan.span)
         )
         return None
+    sort = chan.inner
     if isinstance(action, S.Send):
         try:
             actual = _payload_sort(env, action.payload, annotations)
@@ -305,10 +250,8 @@ def _check_action(
             )
             return None
         return env
-    # Receive: bind the binder at the sort-implied type
-    if isinstance(sort, CarriesChan):
-        return env.with_chan(action.binder.text, sort.inner)
-    return env.with_comp(action.binder.text, type_of_sort(sort))
+    # Receive: the binder gets the channel's sort
+    return env.with_comp(action.binder.text, sort)
 
 
 def check_proc(

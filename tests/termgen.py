@@ -7,7 +7,6 @@ from __future__ import annotations
 import random
 
 from mlg import syntax as S
-from mlg import typecheck as T
 
 MAX_NUMERAL = 5
 
@@ -152,7 +151,7 @@ def gen_proc(
     if roll < 0.55:
         chan = _fresh(rng, "x", binders | set(chans))
         return S.Restrict(
-            chan, T.CarriesNat(),
+            chan, S.NAT,
             gen_proc(rng, depth - 1, binders, chans + (chan.text,)),
         )
     return gen_guarded(rng, depth, binders, chans)
@@ -160,7 +159,7 @@ def gen_proc(
 
 def proc_program(term: S.ProcTerm) -> S.Program:
     decls = tuple(
-        S.ChanDecl(S.Name(c, S.CHANNEL), T.CarriesNat())
+        S.ChanDecl(S.Name(c, S.CHANNEL), S.NAT)
         for c in PROC_CHANNELS
     )
     return S.Program(decls, term)

@@ -21,7 +21,6 @@ import time
 import pytest
 
 from mlg import syntax as S
-from mlg import typecheck as T
 from mlg.engine import TERMINATED, run, render_trace
 from mlg.evaluate import EMPTY_ENV, Fuel, NatVal, eval_comp, value_inhabits
 from mlg.explorer import canonicalize, explore
@@ -152,7 +151,7 @@ def _family():
 
 def _instance_program(instance):
     chans = [S.Name("c1", S.CHANNEL), S.Name("c2", S.CHANNEL)]
-    decls = tuple(S.ChanDecl(n, T.CarriesNat()) for n in chans)
+    decls = tuple(S.ChanDecl(n, S.NAT) for n in chans)
 
     def chain(seq):
         term = S.Nil()
@@ -233,7 +232,7 @@ def test_acceptance_6_determinism(capsys):
 
 def _canon(term):
     decls = tuple(
-        S.ChanDecl(S.Name(c, S.CHANNEL), T.CarriesNat()) for c in ("c1", "c2")
+        S.ChanDecl(S.Name(c, S.CHANNEL), S.NAT) for c in ("c1", "c2")
     )
     return canonicalize(initial_configuration(S.Program(decls, term)))
 

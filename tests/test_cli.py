@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import demo_path
+from test_run_golden import HANDWRITTEN, UNCHECKED
 
 from mlg import engine
 from mlg.cli import main
@@ -351,6 +352,74 @@ def test_guard_comparison_fault_points_at_the_guard(capsys, tmp_path):
                             "--seed", "1")
     assert code == 2
     assert err == f"{path}:2:30: error: match on incomparable values\n"
+
+
+# variables and channels share one namespace: the innermost binder of a
+# name wins, in `check` as at run time
+SHADOWED = {
+    # the receive rebinds c to a natural, so c!(2) names no channel
+    "receive-rebinds-channel": (
+        "chan c : nat\nsystem = c!(1) . 0 | c?(c) . c!(2) . 0 | c?(y) . 0\n",
+        "2:30: error: unsorted channel 'c'"),
+    # the restriction rebinds x to a channel, so succ(x) names no variable
+    "new-rebinds-variable": (
+        "def x = 1\nchan c : nat\n"
+        "system = new x : nat in (c!(succ(x)) . 0 | c?(y) . 0)\n",
+        "3:34: error: unbound variable 'x'"),
+    # the receive rebinds c to a natural, which e carries
+    "receive-binds-a-natural": (
+        "chan c : nat\nchan e : nat\n"
+        "system = e!(1) . 0 | e?(c) . e!(c) . 0 | e?(y) . 0\n", None),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("case", sorted(SHADOWED))
+def test_the_innermost_binder_wins(capsys, tmp_path, case, command):
+    text, diagnostic = SHADOWED[case]
+    path = write(tmp_path, text)
+    argv = [command, path] + (["--seed", "1"] if command == "run" else [])
+    code, out, err = invoke(capsys, *argv)
+    if diagnostic is not None:
+        assert (code, out, err) == (2, "", f"{path}:{diagnostic}\n")
+    elif command == "check":
+        assert (code, out, err) == (0, "", "")
+    else:
+        assert (code, err) == (0, "")
+        assert out == ("#0 comm e(1) pid0->pid1\n#1 comm e(1) pid3->pid2\n"
+                       "#2 terminated\n")
+
+
+# programs that the checker rejects, run unchecked: (text, the seeds of
+# 0-4 whose run faults, where each fault sits). A replication whose
+# unfolding faults in a guard does not spawn, so its run never faults.
+UNCHECKED_FAULTS = {
+    "scope": (SHADOWED["receive-rebinds-channel"][0], {1, 2, 3, 4}, (2, 30)),
+    "guard-fault": (HANDWRITTEN["guard-fault"][0], {1, 2, 3, 4}, (3, 30)),
+    "replicated-guard-fault": (HANDWRITTEN["replicated-guard-fault"][0],
+                               set(), None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("case", ["scope", *sorted(UNCHECKED)])
+def test_unchecked_runtime_faults_point_at_their_source(capsys, tmp_path,
+                                                        case, fmt):
+    text, faulting, where = UNCHECKED_FAULTS[case]
+    path = write(tmp_path, text)
+    faulted = set()
+    for seed in range(5):
+        code, out, err = invoke(capsys, "run", path, "--unchecked",
+                                "--seed", str(seed), "--format", fmt)
+        if code != 2:
+            continue
+        faulted.add(seed)
+        if fmt == "records":
+            record = json.loads(err)
+            assert (record["line"], record["col"]) == where
+        else:
+            assert err.startswith(f"{path}:{where[0]}:{where[1]}: error: ")
+    assert faulted == faulting
 
 
 def test_runtime_fault_records_name_the_file_and_span(capsys, tmp_path,

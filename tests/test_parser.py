@@ -3,7 +3,6 @@ import random
 import pytest
 
 from mlg import syntax as S
-from mlg import typecheck as T
 from mlg.diagnostics import MlgError
 from mlg.parser import (
     parse_comp_expr, parse_payload, parse_proc_term, parse_program,
@@ -188,10 +187,25 @@ def test_chan_sorts_roundtrip():
         "chan c : [size : nat, acl : nat -> nat]\n"
     )
     sorts = [d.sort for d in program.chan_decls()]
-    assert sorts[0] == T.CarriesChan(T.CarriesNat())
-    assert sorts[1] == T.CarriesFn(S.ArrowType(S.NAT, S.NAT))
-    assert isinstance(sorts[2], T.CarriesObj)
+    assert sorts[0] == S.ChanSort(S.NAT)
+    assert sorts[1] == S.ArrowType(S.NAT, S.NAT)
+    assert isinstance(sorts[2], S.ObjType)
     assert parse_program(pretty_program(program)) == program
+
+
+@pytest.mark.parametrize("text, sort", [
+    ("nat", S.NAT),
+    ("nat -> nat", S.ArrowType(S.NAT, S.NAT)),
+    ("[a : nat]", S.ObjType(((S.Name("a"), S.NAT),))),
+    ("chan(nat)", S.ChanSort(S.NAT)),
+    ("chan(chan(nat -> nat))",
+     S.ChanSort(S.ChanSort(S.ArrowType(S.NAT, S.NAT)))),
+])
+def test_sort_roundtrip(text, sort):
+    program = parse_program(f"chan c : {text}")
+    assert program.chan_decls()[0].sort == sort
+    assert str(sort) == text
+    assert pretty_program(program) == f"chan c : {text}\n"
 
 
 def test_program_roundtrip_filesystem_demo():
@@ -221,7 +235,7 @@ def test_fmt_idempotent_on_random_programs():
         term = gen_proc(rng, depth=4)
         program = S.Program(
             tuple(
-                S.ChanDecl(S.Name(c, S.CHANNEL), T.CarriesNat())
+                S.ChanDecl(S.Name(c, S.CHANNEL), S.NAT)
                 for c in ("c1", "c2")
             ),
             term,

@@ -4,10 +4,12 @@ import pytest
 
 from mlg import syntax as S
 from mlg import typecheck as T
+from mlg.engine import run
+from mlg.evaluate import EvalFault, FuelExhausted
 from mlg.parser import parse_comp_expr, parse_payload, parse_proc_term
+from mlg.prelude import load_program
 from mlg.typecheck import (
-    CarriesChan, CarriesNat, TypeEnv, TypeError_, check_data, check_proc,
-    infer_comp,
+    TypeEnv, TypeError_, check_data, check_proc, check_program, infer_comp,
 )
 
 from termgen import gen_closed_nat_term
@@ -110,8 +112,8 @@ def test_update_changing_type_rejected():
 def test_check_proc_pipeline_ok():
     env = (
         TypeEnv()
-        .with_chan("write", CarriesNat())
-        .with_chan("reserve", CarriesNat())
+        .with_chan("write", S.NAT)
+        .with_chan("reserve", S.NAT)
         .with_comp("blockCount", N2N)
     )
     term = parse_proc_term("write?(n) . reserve!(blockCount n) . 0")
@@ -123,7 +125,7 @@ def test_check_nil_ok():
 
 
 def test_payload_sort_mismatch():
-    env = TypeEnv().with_chan("c", CarriesChan(CarriesNat()))
+    env = TypeEnv().with_chan("c", S.ChanSort(S.NAT))
     diags = check_proc(env, parse_proc_term("c!(z) . 0"))
     assert diags and "payload" in diags[0].message
 
@@ -136,8 +138,8 @@ def test_unsorted_channel():
 def test_match_across_categories_rejected():
     env = (
         TypeEnv()
-        .with_chan("c", CarriesNat())
-        .with_chan("d", CarriesNat())
+        .with_chan("c", S.NAT)
+        .with_chan("d", S.NAT)
     )
     term = parse_proc_term("[c = z] d!(z) . 0")
     diags = check_proc(env, term)
@@ -148,14 +150,14 @@ def test_match_on_functions_rejected():
     env = (
         TypeEnv()
         .with_comp("f", N2N)
-        .with_chan("c", CarriesNat())
+        .with_chan("c", S.NAT)
     )
     diags = check_proc(env, parse_proc_term("[f = f] c!(z) . 0"))
     assert diags and "not comparable" in diags[0].message
 
 
 def test_receive_binder_bound_at_sort_type():
-    env = TypeEnv().with_chan("c", CarriesChan(CarriesNat()))
+    env = TypeEnv().with_chan("c", S.ChanSort(S.NAT))
     # x arrives as a channel carrying nat, so x!(z) is fine
     assert check_proc(env, parse_proc_term("c?(x) . x!(z) . 0")) == []
     # and sending it again requires a chan(nat)-carrying channel
@@ -193,3 +195,54 @@ def test_diagnostics_carry_spans():
         infer(src)
     span = exc.value.diagnostic.span
     assert src[span.start:span.end].startswith("ghost")
+
+
+# Variables and channels share one namespace, and the innermost binder of
+# a name wins. (binder, what it shadows) -> (program, whether `check`
+# accepts it): each program uses the name after the binder.
+SHADOWING = {
+    ("receive", "channel"): ("chan c : nat\nchan d : nat\n"
+                             "system = d!(1) . 0 | d?(c) . c!(2) . 0 "
+                             "| c?(y) . 0\n", False),
+    ("receive", "variable"): ("def x = 1\nchan c : chan(nat)\nchan d : nat\n"
+                              "system = c!(d) . 0 | c?(x) . d!(succ(x)) . 0 "
+                              "| d?(y) . 0\n", False),
+    ("new", "channel"): ("chan c : nat\nchan d : nat\n"
+                         "system = new c : chan(nat) in "
+                         "(c!(d) . 0 | c?(x) . x!(2) . 0) | d?(y) . 0\n",
+                         True),
+    ("new", "variable"): ("def x = 1\nchan c : nat\n"
+                          "system = new x : nat in "
+                          "(c!(succ(x)) . 0 | c?(y) . 0)\n", False),
+    ("fun", "channel"): ("chan c : nat\n"
+                         "system = c!((fun (c : nat) succ(c)) 1) . 0 "
+                         "| c?(y) . 0\n", True),
+    ("fun", "variable"): ("def x = fun (n : nat) n\nchan c : nat\n"
+                          "system = c!((fun (x : nat) succ(x)) 1) . 0 "
+                          "| c?(y) . 0\n", True),
+    ("rec", "channel"): ("chan c : nat\n"
+                         "system = c!(rec 2 { z -> 0 | succ(c) with r -> "
+                         "succ(c) }) . 0 | c?(y) . 0\n", True),
+    ("rec", "variable"): ("def r = fun (n : nat) n\nchan c : nat\n"
+                          "system = c!(rec 2 { z -> 0 | succ(k) with r -> "
+                          "succ(r) }) . 0 | c?(y) . 0\n", True),
+}
+
+
+@pytest.mark.parametrize("binder, shadowed", sorted(SHADOWING))
+def test_check_scopes_names_as_run_does(binder, shadowed):
+    text, accepted = SHADOWING[binder, shadowed]
+    program = load_program(text)
+    result = check_program(program)
+    assert result.ok == accepted, [d.render() for d in result.diagnostics]
+    # a program `check` accepts runs without a fault other than fuel
+    # exhaustion; each one it rejects here does fault when run unchecked
+    faults = []
+    for seed in range(5):
+        try:
+            run(program, seed=seed, annotations=result.obj_annotations)
+        except FuelExhausted:
+            pass
+        except EvalFault as fault:
+            faults.append(fault)
+    assert result.ok == (not faults), faults
