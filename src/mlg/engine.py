@@ -20,7 +20,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .diagnostics import MlgError, Span
 from . import syntax as S
@@ -47,7 +47,7 @@ class SoupMember:
 
 @dataclass
 class TraceEvent:
-    kind: str  # comm, spawn, update, eval, deadlock, terminated, step-limit
+    kind: str  # comm, spawn, update, deadlock, terminated, step-limit
     step: int
     pids: tuple[int, ...] = ()
     chan: str = ""
@@ -64,8 +64,6 @@ class TraceEvent:
             parts.append(f"pid{self.pids[0]}=>pid{self.pids[1]}")
         elif self.kind == "update":
             parts.append(self.store_delta[0])
-        elif self.kind == "eval":
-            parts.append(self.detail)
         if self.kind == "comm" and self.detail:
             parts.append(self.detail)
         if self.kind == "comm" and self.store_delta:
@@ -74,22 +72,16 @@ class TraceEvent:
         return " ".join(parts)
 
     def to_record(self) -> dict:
-        return {
-            "step": self.step,
-            "kind": self.kind,
-            "pids": list(self.pids),
-            "chan": self.chan,
-            "payload": self.payload,
-            "storeDelta": list(self.store_delta),
-            "detail": self.detail,
-        }
+        record = asdict(self)
+        record["storeDelta"] = record.pop("store_delta")
+        return record
 
 
 @dataclass
 class Configuration:
     soup: list[SoupMember]  # in pid order
     store: ObjectStore
-    step_count: int = 0
+    step_count: int = 0  # redexes carry it too: a stale one is refused
     # an append-only log that clone shares, so step appends to its input's
     # trace too; callers that step one configuration more than once set it
     # to None, which keeps no trace
@@ -101,7 +93,6 @@ class Configuration:
     proc_defs: dict[str, S.ProcTerm] = field(default_factory=dict)
     default_repl_budget: int | None = None
     budget_cut: bool = False  # a spawn was suppressed by the repl budget
-    token: int = 0  # bumped every step; guards against stale redexes
     # the explorer's canonical-key cache, shared like proc_defs: term ids
     # to their member keys, plus interned key tuples
     canon_cache: dict = field(default_factory=dict)
@@ -135,7 +126,7 @@ class Comm:
     send: Offer
     receiver: SoupMember
     receive: Offer
-    token: int
+    step_count: int
 
     def sort_key(self):
         return (0, self.sender.pid, self.receiver.pid, self.send.path,
@@ -145,7 +136,7 @@ class Comm:
 @dataclass(frozen=True)
 class ReplSpawn:
     member: SoupMember
-    token: int
+    step_count: int
 
 
 Redex = Comm | ReplSpawn
@@ -160,7 +151,6 @@ def eval_payload(
     env: ValueEnv,
     payload: S.Payload,
     mutate: bool,
-    events: list[TraceEvent] | None = None,
 ) -> tuple[Value, int]:
     """Evaluate a payload to a Value; returns (value, computation steps).
 
@@ -178,7 +168,7 @@ def eval_payload(
         if not mutate:
             raise EvalFault(
                 "object creation/update is not allowed in a guard")
-        return _eval_data(config, env, payload.data, events)
+        return _eval_data(config, env, payload.data)
     except EvalFault as fault:
         raise fault.at(payload.span) from None
 
@@ -187,7 +177,6 @@ def _eval_data(
     config: Configuration,
     env: ValueEnv,
     d: S.DataExpr,
-    events: list[TraceEvent] | None,
 ) -> tuple[Value, int]:
     fuel = Fuel(DEFAULT_FUEL)
     if isinstance(d, S.MakeObject):
@@ -195,13 +184,7 @@ def _eval_data(
         for lab, init in d.fields:
             initial[lab.text] = eval_comp(env, config.store, init, fuel).value
         signature = config.annotations.get(id(d))
-        ref = config.store.alloc(signature, initial)
-        if events is not None:
-            obj = config.store.objects[ref.id]
-            events.append(TraceEvent(
-                "update", config.step_count, store_delta=(obj.render(),)
-            ))
-        return ref, fuel.used
+        return config.store.alloc(signature, initial), fuel.used
     # UpdateObject: all right-hand sides are fully evaluated before any
     # write commits, then store.update applies them as one transaction
     target = eval_comp(env, config.store, d.target, fuel).value
@@ -212,11 +195,6 @@ def _eval_data(
         for lab, val in d.updates
     ]
     config.store.update(target, writes)
-    if events is not None:
-        obj = config.store.objects[target.id]
-        events.append(TraceEvent(
-            "update", config.step_count, store_delta=(obj.render(),)
-        ))
     return target, fuel.used
 
 
@@ -224,24 +202,25 @@ def _normalize(
     config: Configuration,
     term: S.ProcTerm,
     env: ValueEnv,
-    bind,
+    fresh: itertools.count,
     out: list | None = None,
 ) -> list[tuple[S.ProcTerm, ValueEnv]]:
     """The (term, env) of each soup member `term` normalizes into: pars
     split, nils dropped, process references inlined, and each restricted
-    name bound to the ChanRef that bind(restriction) returns."""
+    name bound to a ChanRef numbered from `fresh`."""
     out = [] if out is None else out
     if isinstance(term, S.Par):
         for operand in term.operands:
-            _normalize(config, operand, env, bind, out)
+            _normalize(config, operand, env, fresh, out)
     elif isinstance(term, S.Restrict):
-        env = env.extend(term.chan.text, bind(term))
-        _normalize(config, term.body, env, bind, out)
+        env = env.extend(term.chan.text, ChanRef(
+            next(fresh), term.chan_sort, term.chan.text, restricted=True))
+        _normalize(config, term.body, env, fresh, out)
     elif isinstance(term, S.ProcRef):
         body = config.proc_defs.get(term.name.text)
         if body is None:
             raise MlgError(f"unbound process name '{term.name}'")
-        _normalize(config, body, env, bind, out)
+        _normalize(config, body, env, fresh, out)
     elif not isinstance(term, S.Nil):
         out.append((term, env))
     return out
@@ -250,18 +229,14 @@ def _normalize(
 def insert_term(config: Configuration, term: S.ProcTerm,
                 env: ValueEnv) -> None:
     """Normalize a term into soup members, allocating its restrictions."""
-
-    def allocate(restrict: S.Restrict) -> ChanRef:
-        config.next_chan += 1
-        return ChanRef(config.next_chan - 1, restrict.chan_sort,
-                       restrict.chan.text, restricted=True)
-
-    for member, member_env in _normalize(config, term, env, allocate):
+    fresh = itertools.count(config.next_chan)
+    for member, member_env in _normalize(config, term, env, fresh):
         budget = (config.default_repl_budget
                   if isinstance(member, S.Repl) else None)
         config.soup.append(SoupMember(config.next_pid, member, member_env,
                                       budget))
         config.next_pid += 1
+    config.next_chan = next(fresh)
 
 
 def initial_configuration(
@@ -305,7 +280,7 @@ def _action_offer(
     while isinstance(action, S.Match):
         left, _ = eval_payload(config, env, action.left, mutate=False)
         right, _ = eval_payload(config, env, action.right, mutate=False)
-        if not _values_comparable(left, right):
+        if type(left) is not type(right) or isinstance(left, Closure):
             raise EvalFault("match on incomparable values").at(action.span)
         if left != right:
             return None
@@ -315,12 +290,6 @@ def _action_offer(
         raise EvalFault(f"'{action.chan}' is not a channel in this scope"
                         ).at(action.chan.span)
     return Offer(path, action, chan_val, continuation)
-
-
-def _values_comparable(a: Value, b: Value) -> bool:
-    if isinstance(a, Closure) or isinstance(b, Closure):
-        return False
-    return type(a) is type(b)
 
 
 def _term_offers(
@@ -400,11 +369,8 @@ def _offers(config: Configuration,
     if value is not None:
         return value
     if isinstance(member.term, S.Repl):
-        fresh = itertools.count(config.next_chan)
         parts = _normalize(config, member.term.body, member.env,
-                           lambda restrict: ChanRef(
-                               next(fresh), restrict.chan_sort,
-                               restrict.chan.text, restricted=True))
+                           itertools.count(config.next_chan))
         value = _unfolding(config, parts)
         guarded = any(_guarded(term) for term, _ in parts)
     else:
@@ -420,10 +386,10 @@ class _Index:
     that the i-th in canonical order can be built without the others.
     `insert` and `remove` keep it up to date member by member, so `run`
     carries one index from step to step; `finish` counts from it."""
-    __slots__ = ("token", "next_pid", "members", "receivers", "sends",
+    __slots__ = ("step_count", "next_pid", "members", "receivers", "sends",
                  "guarded", "repls", "spawns", "count")
 
-    def __init__(self):
+    def __init__(self, config: Configuration):
         # pid -> (member, send offers, Counter of its own receive offers'
         # channel ids or None, receive offers), in pid order
         self.members: dict[int, tuple] = {}
@@ -434,6 +400,9 @@ class _Index:
         self.sends: dict[int, list[int]] = {}
         self.guarded: dict[int, SoupMember] = {}  # pid -> member
         self.repls: dict[int, SoupMember] = {}  # pid -> member
+        for member in config.soup:
+            self.insert(config, member)
+        self.finish(config)
 
     def _drop(self, entry: tuple) -> None:
         member, sends, own, receives = entry
@@ -506,7 +475,7 @@ class _Index:
         """Count the redexes of `config`, whose members are all inserted.
         Sets config.budget_cut when an exhausted replication's spawn would
         be enabled."""
-        self.token, self.next_pid = config.token, config.next_pid
+        self.step_count, self.next_pid = config.step_count, config.next_pid
         pairs = {cid: n * len(self.receivers[cid]) - within
                  for cid, (n, within) in self.sends.items()
                  if cid in self.receivers}
@@ -546,7 +515,7 @@ class _Index:
 
     def comms(self, member: SoupMember, sends: list[Offer]) -> list[Comm]:
         comms = [
-            Comm(member, off, partner, roff, self.token)
+            Comm(member, off, partner, roff, self.step_count)
             for off in sends
             for partner, roff in self.receivers.get(off.chan.id, {}).values()
             if partner is not member
@@ -565,29 +534,17 @@ class _Index:
             if i < n:
                 return self.comms(member, sends)[i]
             i -= n
-        return ReplSpawn(self.spawns[i], self.token)
+        return ReplSpawn(self.spawns[i], self.step_count)
 
     def redexes(self) -> list[Redex]:
         comms = [comm for member, sends, _, _ in self.members.values()
                  if sends for comm in self.comms(member, sends)]
-        return comms + [ReplSpawn(m, self.token) for m in self.spawns]
-
-
-def _index(config: Configuration) -> _Index:
-    """A fresh index of the soup: insert every member, then finish. `run`
-    builds one and carries it on with `advance`, which costs only the
-    members a step removed and inserted, the guarded members and the
-    replications."""
-    index = _Index()
-    for member in config.soup:
-        index.insert(config, member)
-    index.finish(config)
-    return index
+        return comms + [ReplSpawn(m, self.step_count) for m in self.spawns]
 
 
 def enabled_redexes(config: Configuration) -> list[Redex]:
     """All enabled redexes in canonical order (deterministic)."""
-    return _index(config).redexes()
+    return _Index(config).redexes()
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +557,9 @@ def step(config: Configuration, redex: Redex) -> Configuration:
     The successor appends its events to the trace list it shares with
     `config`; a caller that applies several redexes to one configuration
     sets `config.trace = None` first."""
-    if redex.token != config.token:
+    if redex.step_count != config.step_count:
         raise MlgError("stale redex applied to a later configuration")
     new = config.clone()
-    new.token += 1
     if isinstance(redex, ReplSpawn):
         member = redex.member
         idx = next((i for i, m in enumerate(new.soup) if m is member), None)
@@ -628,23 +584,24 @@ def step(config: Configuration, redex: Redex) -> Configuration:
         raise MlgError("stale redex: participant no longer present")
     new.soup = soup
 
-    update_events: list[TraceEvent] = []
-    value, eval_steps = eval_payload(
-        new, sender.env, send.action.payload, mutate=True,
-        events=update_events,
-    )
-    _assert_sort(new, value, send.chan, send.action.payload.span)
+    payload = send.action.payload
+    value, eval_steps = eval_payload(new, sender.env, payload, mutate=True)
+    _assert_sort(new, value, send.chan, payload.span)
     insert_term(new, send.continuation, sender.env)
     insert_term(new, receive.continuation,
                 receiver.env.extend(receive.action.binder.text, value))
 
     if new.trace is not None:
-        new.trace.extend(update_events)
+        delta = ()
+        if isinstance(payload, S.ObjPayload):  # it wrote the object it names
+            delta = (new.store.objects[value.id].render(),)
+            new.trace.append(TraceEvent("update", new.step_count,
+                                        store_delta=delta))
         new.trace.append(TraceEvent(
             "comm", new.step_count,
             pids=(sender.pid, receiver.pid),
             chan=send.chan.name, payload=render_value(value),
-            store_delta=tuple(e.store_delta[0] for e in update_events),
+            store_delta=delta,
             detail=f"eval={eval_steps}" if eval_steps else "",
         ))
     new.step_count += 1
@@ -686,7 +643,7 @@ def run(
         if config.step_count >= max_steps:
             verdict = STEP_LIMIT
             break
-        index = (_index(config) if redex is None
+        index = (_Index(config) if redex is None
                  else index.advance(config, redex))
         if not index.count:
             verdict = TERMINATED if not config.soup else DEADLOCK

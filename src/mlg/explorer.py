@@ -269,10 +269,6 @@ class StateGraph:
     # cut it: "depth", "states" or "repl-budget"
     frontier: dict[CanonicalState, set[str]] = field(default_factory=dict)
 
-    @property
-    def budget_cut(self) -> bool:
-        return bool(self.frontier)
-
     def to_dot(self) -> str:
         index = {s: i for i, s in enumerate(self.states)}
         lines = ["digraph states {"]

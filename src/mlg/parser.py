@@ -173,24 +173,8 @@ class Parser:
             self.expect(")")
             return ty
         if kind == "[":
-            self.next()
-            sig: list[tuple[S.Name, S.CompType]] = []
-            while True:
-                lab = self.name(S.FIELD_LABEL)
-                self.expect(":")
-                sig.append((lab, self.parse_type()))
-                if not self.at(","):
-                    break
-                self.next()
-            self.expect("]")
-            seen: set[str] = set()
-            for lab, _ in sig:
-                if lab.text in seen:
-                    raise ParseFailure(
-                        f"duplicate field label '{lab}' in signature", lab.span
-                    )
-                seen.add(lab.text)
-            return S.ObjType(tuple(sig))
+            return S.ObjType(self.parse_field_list(":", self.parse_type,
+                                                   " in signature"))
         i = self.pos
         raise ParseFailure(f"expected a type, found '{self.texts[i]}'",
                            self.span(i))
@@ -264,7 +248,7 @@ class Parser:
                         self.span(self.pos),
                     )
                 self.next()  # .
-                updates = self.parse_field_list("<=")
+                updates = self.parse_field_list("<=", self.parse_expr, "")
                 return S.UpdateObject(expr, updates, expr.span)
             self.next()  # .
             label = self.name(S.FIELD_LABEL)
@@ -299,14 +283,15 @@ class Parser:
             f"expected an expression, found '{self.found(i)}'", self.span(i)
         )
 
-    def parse_field_list(self, sep: str) -> tuple:
-        """`[ l <sep> e, ... ]` with a duplicate-label diagnostic."""
-        open_tok = self.expect("[")
-        fields: list[tuple[S.Name, S.CompExpr]] = []
+    def parse_field_list(self, sep: str, item, where: str) -> tuple:
+        """`[ l <sep> item, ... ]`, each item parsed by `item()`, with a
+        duplicate-label diagnostic that ends in `where`."""
+        self.expect("[")
+        fields: list[tuple[S.Name, object]] = []
         while True:
             lab = self.name(S.FIELD_LABEL)
             self.expect(sep)
-            fields.append((lab, self.parse_expr()))
+            fields.append((lab, item()))
             if not self.at(","):
                 break
             self.next()
@@ -315,12 +300,9 @@ class Parser:
         for lab, _ in fields:
             if lab.text in seen:
                 raise ParseFailure(
-                    f"duplicate field label '{lab}'", lab.span
+                    f"duplicate field label '{lab}'{where}", lab.span
                 )
             seen.add(lab.text)
-        if not fields:
-            raise ParseFailure("at least one field required",
-                               self.span(open_tok))
         return tuple(fields)
 
     # -- payloads ----------------------------------------------------------
@@ -328,7 +310,7 @@ class Parser:
     def parse_payload(self) -> S.Payload:
         span = self.span(self.pos)
         if self.at("["):
-            fields = self.parse_field_list("=")
+            fields = self.parse_field_list("=", self.parse_expr, "")
             return S.ObjPayload(S.MakeObject(fields, span), span)
         expr = self.parse_payload_expr()
         if isinstance(expr, (S.MakeObject, S.UpdateObject)):

@@ -351,9 +351,6 @@ class Program:
     def comp_defs(self) -> list[DefDef]:
         return [d for d in self.defs if isinstance(d, DefDef)]
 
-    def chan_decls(self) -> list[ChanDecl]:
-        return [d for d in self.defs if isinstance(d, ChanDecl)]
-
     def proc_defs(self) -> list[ProcDef]:
         return [d for d in self.defs if isinstance(d, ProcDef)]
 

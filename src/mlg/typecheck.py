@@ -154,11 +154,11 @@ def check_data(
 # ---------------------------------------------------------------------------
 # Coordination core
 
-# Payload categories for Match comparability.
-CAT_CHAN = "channel"
-CAT_NAT = "nat"
-CAT_FN = "function"
-CAT_OBJ = "object"
+# Payload categories for Match comparability, with their articles.
+CAT_CHAN = "a channel"
+CAT_NAT = "a nat"
+CAT_FN = "a function"
+CAT_OBJ = "an object"
 
 
 def _category_of_sort(sort: S.Sort) -> str:
@@ -206,7 +206,7 @@ def _check_action(
         if lcat != rcat:
             diags.append(
                 Diagnostic(
-                    f"match compares a {lcat} with a {rcat}", action.span
+                    f"match compares {lcat} with {rcat}", action.span
                 )
             )
             return None

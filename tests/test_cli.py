@@ -248,6 +248,44 @@ def test_fmt_idempotent(capsys):
     assert twice == once
 
 
+@pytest.mark.parametrize("text, diagnostic", [
+    ("chan c : 5\n", "1:10: error: expected a type, found '5'"),
+    ("chan c : [a : nat, a : nat]\n",
+     "1:20: error: duplicate field label 'a' in signature"),
+    ("chan c : nat\nsystem = c!(f o.[a <= 1]) . 0\n",
+     "2:16: error: object update is not allowed here"),
+    ("system = 0\nsystem = 0\n", "2:1: error: duplicate 'system' entry"),
+    ("foo\n", "1:1: error: expected a top-level item, found 'foo'"),
+    ("system = 5\n", "1:10: error: expected a process, found number '5'"),
+    ("chan c : nat\nsystem = [[a = 1] = [a = 2]] c!(1) . 0\n",
+     "2:10: error: match guards may not create or update objects"),
+    ("chan c : nat\ndef f = fun (x : nat) x\nsystem = [f = f] c!(1) . 0\n",
+     "3:10: error: functions are not comparable in match"),
+    ("system = [[a = 1] = 1] c!(1) . 0\n",
+     "1:10: error: match compares an object with a nat"),
+])
+def test_check_diagnostic_text(capsys, tmp_path, text, diagnostic):
+    path = write(tmp_path, text)
+    code, out, err = invoke(capsys, "check", path)
+    assert (code, err) == (2, f"{path}:{diagnostic}\n")
+
+
+def test_parenthesized_arrow_domain_formats_and_runs(capsys, tmp_path):
+    text = (
+        "chan c : (nat -> nat) -> nat\n"
+        "chan d : nat\n"
+        "def apply = fun (f : nat -> nat) f 1\n"
+        "system = c!(apply) . 0 | c?(g) . d!(g (fun (x : nat) succ(x))) . 0"
+        " | d?(y) . 0\n"
+    )
+    code, out, _ = invoke(capsys, "fmt", write(tmp_path, text))
+    assert (code, out) == (0, text)
+    code, out, _ = invoke(capsys, "run", write(tmp_path, text))
+    assert code == 0
+    assert out.splitlines()[1:] == ["#1 comm d(2) pid3->pid2 eval=2",
+                                    "#2 terminated"]
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

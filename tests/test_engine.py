@@ -104,8 +104,8 @@ def test_stale_redex_rejected():
 
 
 def test_redex_from_a_sibling_configuration_rejected():
-    # both siblings carry the same token and give pid4 to the continuation
-    # of their sender: d!(1) . 0 in one, d!(2) . 0 in the other
+    # both siblings carry the same step count and give pid4 to the
+    # continuation of their sender: d!(1) . 0 in one, d!(2) . 0 in the other
     program, ann = load(
         "chan c : nat\n"
         "chan d : nat\n"
@@ -115,10 +115,25 @@ def test_redex_from_a_sibling_configuration_rejected():
     config = initial_configuration(program, ann)
     config.trace = None
     first, second = (step(config, r) for r in enabled_redexes(config))
-    assert first.token == second.token
+    assert first.step_count == second.step_count
     (redex,) = enabled_redexes(first)
     with pytest.raises(MlgError):
         step(second, redex)
+
+
+def test_spawn_from_a_sibling_configuration_rejected():
+    # a budgeted spawn replaces the replication with a copy of smaller
+    # budget, which the sibling that took the same spawn does not hold
+    program, ann = load(
+        "system = !(new r : nat in (r!(1) . 0 | r?(x) . 0))\n"
+    )
+    config = initial_configuration(program, ann, repl_budget=2)
+    config.trace = None
+    (spawn,) = enabled_redexes(config)
+    first, second = step(config, spawn), step(config, spawn)
+    (again,) = [r for r in enabled_redexes(first) if isinstance(r, ReplSpawn)]
+    with pytest.raises(MlgError, match="replication no longer present"):
+        step(second, again)
 
 
 def test_name_mobility_substitutes_channels():

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from conftest import demo_text
 
 from mlg import syntax as S
@@ -247,8 +249,7 @@ def test_repl_budget_marks_frontier():
         "system = !c?(x) . 0 | !c!(1) . 0\n"
     )
     graph = explore(program, repl_budget=1, annotations=ann)
-    assert graph.budget_cut
-    assert graph.frontier
+    assert "repl-budget" in set().union(*graph.frontier.values())
 
 
 def test_explore_depth_cut_marks_frontier():
@@ -275,6 +276,39 @@ def test_to_dot_mentions_deadlocks():
     dot = graph.to_dot()
     assert dot.startswith("digraph states {")
     assert "deadlock" in dot
+
+
+@pytest.mark.parametrize("src, budgets, dot", [
+    ("system = c!(1) . 0 | c?(x) . 0 | c?(x) . c!(2) . 0", {},
+     'digraph states {\n'
+     '  s0 [label="s0"];\n'
+     '  s1 [label="s1 [deadlock]" color="red"];\n'
+     '  s2 [label="s2"];\n'
+     '  s3 [label="s3 [terminal]"];\n'
+     '  s0 -> s1 [label="comm(c)"];\n'
+     '  s0 -> s2 [label="comm(c)"];\n'
+     '  s2 -> s3 [label="comm(c)"];\n'
+     '}\n'),
+    ("system = c!(1) . 0 | c?(x) . 0 | c?(x) . c!(2) . 0", {"max_depth": 1},
+     'digraph states {\n'
+     '  s0 [label="s0"];\n'
+     '  s1 [label="s1 [deadlock]" color="red"];\n'
+     '  s2 [label="s2 [frontier]"];\n'
+     '  s0 -> s1 [label="comm(c)"];\n'
+     '  s0 -> s2 [label="comm(c)"];\n'
+     '}\n'),
+    ("system = !c!(1) . 0 | c?(x) . c?(y) . 0", {"repl_budget": 1},
+     'digraph states {\n'
+     '  s0 [label="s0"];\n'
+     '  s1 [label="s1"];\n'
+     '  s2 [label="s2 [frontier]"];\n'
+     '  s0 -> s1 [label="spawn(pid0)"];\n'
+     '  s1 -> s2 [label="comm(c)"];\n'
+     '}\n'),
+])
+def test_to_dot_bytes_with_edges_and_flags(src, budgets, dot):
+    program, ann = load(f"chan c : nat\n{src}\n")
+    assert explore(program, annotations=ann, **budgets).to_dot() == dot
 
 
 # ---------------------------------------------------------------------------

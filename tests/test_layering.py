@@ -1,6 +1,8 @@
-"""The layers below the checker do not import it.
+"""Each module imports only the mlg modules its layer may use.
 
-A channel's sort is decided in `syntax.py`, so parsing, printing and
+`ALLOWED` is the import graph of the package, written out: a new edge,
+such as the engine importing the explorer, fails until the table says it
+may. A channel's sort is decided in `syntax.py`, so parsing, printing and
 running a program need nothing from `mlg.typecheck`.
 """
 
@@ -14,6 +16,23 @@ import mlg
 SRC = Path(mlg.__file__).parent
 BELOW_THE_CHECKER = ["parser", "pretty", "engine", "explorer", "evaluate",
                      "store"]
+ALLOWED = {
+    "diagnostics": set(),
+    "syntax": {"diagnostics"},
+    "parser": {"diagnostics", "syntax"},
+    "pretty": {"syntax"},
+    "typecheck": {"diagnostics", "syntax"},
+    "evaluate": {"diagnostics", "syntax"},
+    "store": {"diagnostics", "syntax", "evaluate"},
+    "engine": {"diagnostics", "syntax", "evaluate", "store"},
+    "explorer": {"syntax", "evaluate", "engine"},
+    "prelude": {"diagnostics", "syntax", "parser", "pretty", "typecheck"},
+    "cli": {"diagnostics", "parser", "pretty", "typecheck", "engine",
+            "explorer", "prelude"},
+    "__init__": {"parser", "pretty", "typecheck", "evaluate", "engine",
+                 "explorer", "prelude"},
+    "__main__": {"cli"},
+}
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -33,3 +52,15 @@ def imported_modules(path: Path) -> set[str]:
 @pytest.mark.parametrize("module", BELOW_THE_CHECKER)
 def test_module_does_not_import_the_checker(module):
     assert "mlg.typecheck" not in imported_modules(SRC / f"{module}.py")
+
+
+def test_table_lists_every_module():
+    assert {path.stem for path in SRC.glob("*.py")} == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED))
+def test_module_imports_only_its_allowed_modules(module):
+    imported = {name.split(".")[1] for name in
+                imported_modules(SRC / f"{module}.py")
+                if name.startswith("mlg.")} & set(ALLOWED)
+    assert imported <= ALLOWED[module]

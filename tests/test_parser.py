@@ -186,7 +186,7 @@ def test_chan_sorts_roundtrip():
         "chan b : nat -> nat\n"
         "chan c : [size : nat, acl : nat -> nat]\n"
     )
-    sorts = [d.sort for d in program.chan_decls()]
+    sorts = [d.sort for d in program.defs]
     assert sorts[0] == S.ChanSort(S.NAT)
     assert sorts[1] == S.ArrowType(S.NAT, S.NAT)
     assert isinstance(sorts[2], S.ObjType)
@@ -203,7 +203,8 @@ def test_chan_sorts_roundtrip():
 ])
 def test_sort_roundtrip(text, sort):
     program = parse_program(f"chan c : {text}")
-    assert program.chan_decls()[0].sort == sort
+    (decl,) = program.defs
+    assert decl.sort == sort
     assert str(sort) == text
     assert pretty_program(program) == f"chan c : {text}\n"
 

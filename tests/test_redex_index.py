@@ -43,8 +43,8 @@ def reference_comms(config) -> list[Comm]:
                 for roff in offers[rpid]:
                     if (isinstance(roff.action, S.Receive)
                             and roff.chan.id == soff.chan.id):
-                        comms.append(Comm(members[spid], soff,
-                                          members[rpid], roff, config.token))
+                        comms.append(Comm(members[spid], soff, members[rpid],
+                                          roff, config.step_count))
     return sorted(comms, key=Comm.sort_key)
 
 
@@ -57,11 +57,11 @@ def reference_redexes(config) -> tuple[list, bool]:
     for member in repls:
         trial = config.clone()
         trial.trace = None
-        trial = step(trial, ReplSpawn(member, trial.token))
+        trial = step(trial, ReplSpawn(member, trial.step_count))
         own = range(config.next_pid, trial.next_pid)
         for other in repls:
             if other.pid != member.pid:
-                trial = step(trial, ReplSpawn(other, trial.token))
+                trial = step(trial, ReplSpawn(other, trial.step_count))
         if not any(
             (comm.sender.pid in own or comm.receiver.pid in own)
             and comm.send.chan.id not in enabled
@@ -71,14 +71,14 @@ def reference_redexes(config) -> tuple[list, bool]:
         if member.repl_budget is not None and member.repl_budget <= 0:
             cut = True
         else:
-            spawns.append(ReplSpawn(member, config.token))
+            spawns.append(ReplSpawn(member, config.step_count))
     return comms + spawns, cut
 
 
 def assert_index_matches(config) -> None:
     want, want_cut = reference_redexes(config)
     config.budget_cut = False
-    index = E._index(config)
+    index = E._Index(config)
     assert index.count == len(want)
     assert [index.redex(i) for i in range(index.count)] == want
     assert config.budget_cut == want_cut
@@ -175,7 +175,7 @@ def carried(config, seed: int):
     with the index carried over to it."""
     rng = random.Random(seed)
     config.trace = None
-    index = E._index(config)
+    index = E._Index(config)
     while index.count:
         redex = index.redex(rng.randrange(index.count))
         config = step(config, redex)
@@ -186,7 +186,7 @@ def carried(config, seed: int):
 def assert_carried_matches_fresh(config, seed: int, steps: int) -> None:
     for config, index in itertools.islice(carried(config, seed), steps):
         cut, config.budget_cut = config.budget_cut, False
-        fresh = E._index(config)
+        fresh = E._Index(config)
         assert config.budget_cut == cut
         assert index.count == fresh.count
         assert index.spawns == fresh.spawns
