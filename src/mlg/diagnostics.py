@@ -47,11 +47,13 @@ class Diagnostic:
 
 
 class MlgError(Exception):
-    """Raised for unrecoverable faults (parse failure, runtime fault)."""
+    """The one fault type of the parser, the checker and the runtime. A
+    bare message is placed at `span`."""
 
-    def __init__(self, diagnostics: list[Diagnostic] | Diagnostic | str):
+    def __init__(self, diagnostics: list[Diagnostic] | Diagnostic | str,
+                 span: Span = DUMMY_SPAN):
         if isinstance(diagnostics, str):
-            diagnostics = [Diagnostic(diagnostics)]
+            diagnostics = [Diagnostic(diagnostics, span)]
         elif isinstance(diagnostics, Diagnostic):
             diagnostics = [diagnostics]
         self.diagnostics = diagnostics

@@ -10,9 +10,11 @@ in the order of its sorted sum and par operands; a state keeps only their
 sorts in number order. Scope extrusion is a law, so a state does not record
 which restricted channels were sent, and the declared channels, the same in
 every state, are not part of it. Binder names inside continuations are
-still compared by name. The object store fingerprint is part of state
-identity, so data-dependent coordination is explored correctly. Deadlock
-witnesses are read off the edges `explore` records.
+still compared by name. The object store is part of state identity, so
+data-dependent coordination is explored correctly: each object's fields
+are keyed as the soup's values are, so objects holding different functions
+differ, and restricted channels held in fields are numbered after the
+soup's. Deadlock witnesses are read off the edges `explore` records.
 
 A member's key, its restricted channels and its numbered entries are
 computed once and kept on the member, so a successor pays only for the
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import syntax as S
-from .evaluate import ChanRef, Closure, NatVal, ObjRef, ValueEnv
+from .evaluate import ChanRef, Closure, EMPTY_ENV, NatVal, ObjRef, ValueEnv
 from .engine import (
     Configuration, Redex, ReplSpawn, SoupMember, enabled_redexes,
     initial_configuration, step,
@@ -39,10 +41,10 @@ from .engine import (
 
 
 def _walk(term: S.ProcTerm, env: ValueEnv):
-    """(structural key of `term` under `env`, restricted channels in order
-    of occurrence, names looked up in env). The operands of a `|` or `+`
-    are met in the order of their sorted keys, and operands with equal
-    keys in the order written.
+    """(structural key of `term`, or of a value, under `env`, restricted
+    channels in order of occurrence, names looked up in env). The operands
+    of a `|` or `+` are met in the order of their sorted keys, and operands
+    with equal keys in the order written.
 
     Every key is a tuple headed by a string tag, so any two keys compare.
     """
@@ -242,8 +244,19 @@ def canonicalize(config: Configuration) -> CanonicalState:
         soup.append(entry)
     if alias:  # else `memos` was sorted by these keys already
         soup.sort()
+    # each object: (id, version, its fields' keys, the numbers of the
+    # restricted channels met in them)
+    store = []
+    for obj in config.store.snapshot():
+        fields, numbers = [], []
+        for lab, value in sorted(obj.fields.items()):
+            key, occurs, _ = _walk(value, EMPTY_ENV)
+            fields.append((lab, key))
+            numbers += [alias.setdefault(ref.id, (len(alias), ref))[0]
+                        for ref in occurs]
+        store.append((obj.id, obj.version, tuple(fields), tuple(numbers)))
+    store = tuple(store)
     sorts = tuple([str(ref.sort) for _, ref in alias.values()])
-    store = config.store.snapshot()
     keys, hashes = zip(*soup) if soup else ((), ())
     return CanonicalState(keys, store, cache.setdefault(sorts, sorts),
                           hash((hashes, store, sorts)))

@@ -5,8 +5,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from itertools import accumulate, compress, repeat
+from dataclasses import replace
 from operator import add
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, MlgError, Span
 from . import syntax as S
@@ -17,18 +17,6 @@ KEYWORDS = {
 }
 SYMBOLS = {"->", "<=", "(", ")", "[", "]", "{", "}",
            ".", ",", ":", "!", "?", "+", "|", "="}
-
-
-class Token(NamedTuple):
-    kind: str  # "ident", "number", a keyword, a symbol, or "eof"
-    text: str
-    span: Span
-
-
-class ParseFailure(Exception):
-    def __init__(self, message: str, span: Span):
-        self.diagnostic = Diagnostic(message, span)
-        super().__init__(message)
 
 
 # Blanks (white space and comments) or one token: a word, a number, a
@@ -56,8 +44,9 @@ _new_tuple = tuple.__new__
 
 class Tokens:
     """The tokens of one text, eof included, as parallel lists. A token's
-    `Span` is built only when asked for, from its start offset and the
-    offsets of the text's newlines; iterating builds every token's."""
+    kind is "ident", "number", a keyword, a symbol or "eof". Its `Span` is
+    built only when asked for, from its start offset and the offsets of the
+    text's newlines."""
 
     __slots__ = ("kinds", "texts", "starts", "newlines")
 
@@ -70,10 +59,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __iter__(self):
-        spans = map(self.span, range(len(self.kinds)))
-        return map(Token, self.kinds, self.texts, spans)
 
     def span(self, i: int) -> Span:
         start = self.starts[i]
@@ -99,8 +84,7 @@ def tokenize(text: str) -> Tokens:
     tokens = Tokens(kinds, texts, starts, newlines)
     if "bad" in kinds:
         i = kinds.index("bad")
-        raise ParseFailure(f"unexpected character {texts[i]!r}",
-                           tokens.span(i))
+        raise MlgError(f"unexpected character {texts[i]!r}", tokens.span(i))
     return tokens
 
 
@@ -137,8 +121,8 @@ class Parser:
     def expect(self, kind: str) -> int:
         i = self.pos
         if self.kinds[i] != kind:
-            raise ParseFailure(f"expected '{kind}', found '{self.found(i)}'",
-                               self.span(i))
+            raise MlgError(f"expected '{kind}', found '{self.found(i)}'",
+                           self.span(i))
         if kind != "eof":
             self.pos = i + 1
         return i
@@ -149,9 +133,9 @@ class Parser:
                        filename=self.filename)
         )
 
-    def name(self, kind: str = S.VARIABLE) -> S.Name:
+    def name(self) -> S.Name:
         i = self.expect("ident")
-        return S.Name(self.texts[i], kind, self.span(i))
+        return S.Name(self.texts[i], self.span(i))
 
     # -- types and sorts ---------------------------------------------------
 
@@ -176,8 +160,8 @@ class Parser:
             return S.ObjType(self.parse_field_list(":", self.parse_type,
                                                    " in signature"))
         i = self.pos
-        raise ParseFailure(f"expected a type, found '{self.texts[i]}'",
-                           self.span(i))
+        raise MlgError(f"expected a type, found '{self.texts[i]}'",
+                       self.span(i))
 
     def parse_sort(self) -> S.Sort:
         if self.at("chan"):
@@ -220,9 +204,7 @@ class Parser:
         self.expect("with")
         rec_binder = self.name()
         if rec_binder.text == succ_binder.text:
-            raise ParseFailure(
-                "rec binders must be distinct", rec_binder.span
-            )
+            raise MlgError("rec binders must be distinct", rec_binder.span)
         self.expect("->")
         succ_branch = self.parse_expr()
         self.expect("}")
@@ -243,15 +225,13 @@ class Parser:
         while self.at("."):
             if self.kinds[self.pos + 1] == "[":
                 if not allow_update:
-                    raise ParseFailure(
-                        "object update is not allowed here",
-                        self.span(self.pos),
-                    )
+                    raise MlgError("object update is not allowed here",
+                                   self.span(self.pos))
                 self.next()  # .
                 updates = self.parse_field_list("<=", self.parse_expr, "")
                 return S.UpdateObject(expr, updates, expr.span)
             self.next()  # .
-            label = self.name(S.FIELD_LABEL)
+            label = self.name()
             expr = S.FieldSel(expr, label, expr.span)
         return expr
 
@@ -273,15 +253,14 @@ class Parser:
         if kind == "ident":
             self.pos = i + 1
             span = self.span(i)
-            return S.Var(S.Name(self.texts[i], S.VARIABLE, span), span)
+            return S.Var(S.Name(self.texts[i], span), span)
         if kind == "(":
             self.pos = i + 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
-        raise ParseFailure(
-            f"expected an expression, found '{self.found(i)}'", self.span(i)
-        )
+        raise MlgError(f"expected an expression, found '{self.found(i)}'",
+                       self.span(i))
 
     def parse_field_list(self, sep: str, item, where: str) -> tuple:
         """`[ l <sep> item, ... ]`, each item parsed by `item()`, with a
@@ -289,7 +268,7 @@ class Parser:
         self.expect("[")
         fields: list[tuple[S.Name, object]] = []
         while True:
-            lab = self.name(S.FIELD_LABEL)
+            lab = self.name()
             self.expect(sep)
             fields.append((lab, item()))
             if not self.at(","):
@@ -299,9 +278,8 @@ class Parser:
         seen: set[str] = set()
         for lab, _ in fields:
             if lab.text in seen:
-                raise ParseFailure(
-                    f"duplicate field label '{lab}'{where}", lab.span
-                )
+                raise MlgError(f"duplicate field label '{lab}'{where}",
+                               lab.span)
             seen.add(lab.text)
         return tuple(fields)
 
@@ -379,7 +357,7 @@ class Parser:
         kind = self.kinds[i]
         if kind == "number":
             if self.texts[i] != "0":
-                raise ParseFailure(
+                raise MlgError(
                     f"expected a process, found number '{self.texts[i]}'",
                     self.span(i),
                 )
@@ -390,7 +368,7 @@ class Parser:
             return S.Repl(self.parse_prefixed(), self.span(i))
         if kind == "new":
             self.next()
-            chan = self.name(S.CHANNEL)
+            chan = self.name()
             self.expect(":")
             sort = self.parse_sort()
             self.expect("in")
@@ -406,9 +384,8 @@ class Parser:
             ref = S.ProcRef(name, name.span)
             self.proc_refs.append(ref)
             return ref
-        raise ParseFailure(
-            f"expected a process, found '{self.found(i)}'", self.span(i)
-        )
+        raise MlgError(f"expected a process, found '{self.found(i)}'",
+                       self.span(i))
 
     def parse_action(self) -> S.ProcAction:
         span = self.span(self.pos)
@@ -420,7 +397,7 @@ class Parser:
             self.expect("]")
             inner = self.parse_action()
             return S.Match(left, right, inner, span)
-        chan = self.name(S.CHANNEL)
+        chan = self.name()
         if self.at("!"):
             self.next()
             self.expect("(")
@@ -463,7 +440,7 @@ class Parser:
                 items.append(S.DefDef(name, self.parse_expr(), self.span(i)))
             elif kind == "chan":
                 self.next()
-                name = self.name(S.CHANNEL)
+                name = self.name()
                 declare(name)
                 self.expect(":")
                 items.append(S.ChanDecl(name, self.parse_sort(), self.span(i)))
@@ -484,7 +461,7 @@ class Parser:
                 entry = self.parse_proc()
                 resolve_refs()
             else:
-                raise ParseFailure(
+                raise MlgError(
                     f"expected a top-level item, found '{self.found(i)}'",
                     self.span(i),
                 )
@@ -500,14 +477,12 @@ def _run(text: str, filename: str, production) -> object:
         try:
             result = production(parser)
         except RecursionError:  # the parser recurses once per nesting level
-            raise ParseFailure("nesting too deep",
-                               parser.span(parser.pos)) from None
+            raise MlgError("nesting too deep",
+                           parser.span(parser.pos)) from None
         parser.expect("eof")
-    except ParseFailure as exc:
-        diag = Diagnostic(
-            exc.diagnostic.message, exc.diagnostic.span, filename=filename,
-        )
-        raise MlgError(diagnostics + [diag]) from None
+    except MlgError as exc:
+        diagnostics += [replace(d, filename=filename) for d in exc.diagnostics]
+        raise MlgError(diagnostics) from None
     if diagnostics:
         raise MlgError(diagnostics)
     return result

@@ -18,11 +18,6 @@ class StoredObject:
     fields: dict[str, object]  # label -> Value; never mutated
     version: int = 0
 
-    def snapshot(self) -> tuple:
-        return (self.id, self.version, tuple(sorted(
-            (lab, render_value(val)) for lab, val in self.fields.items()
-        )))
-
     def render(self) -> str:
         inner = ",".join(
             f"{lab}={render_value(val)}"
@@ -94,10 +89,9 @@ class ObjectStore:
         )
         self.write_count += 1
 
-    def snapshot(self) -> tuple:
-        return tuple(
-            self.objects[oid].snapshot() for oid in sorted(self.objects)
-        )
+    def snapshot(self) -> tuple[StoredObject, ...]:
+        """The objects in id order."""
+        return tuple([self.objects[oid] for oid in sorted(self.objects)])
 
     def clone(self) -> "ObjectStore":
         other = ObjectStore()

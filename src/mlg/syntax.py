@@ -13,15 +13,10 @@ from .diagnostics import DUMMY_SPAN, Span
 # ---------------------------------------------------------------------------
 # Names
 
-VARIABLE = "variable"
-FIELD_LABEL = "field-label"
-CHANNEL = "channel"
-
 
 @dataclass(frozen=True)
 class Name:
     text: str
-    kind: str = field(default=VARIABLE, compare=False)
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
     def __str__(self) -> str:

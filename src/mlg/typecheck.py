@@ -10,17 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, Span
+from .diagnostics import Diagnostic, MlgError
 from . import syntax as S
 
 # ---------------------------------------------------------------------------
 # Environments
-
-
-class TypeError_(Exception):
-    def __init__(self, message: str, span: Span):
-        self.diagnostic = Diagnostic(message, span)
-        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -46,30 +40,30 @@ class TypeEnv:
 
 
 def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
-    """Type of `e` under `env`; raises TypeError_ with a span on failure."""
+    """Type of `e` under `env`; raises MlgError with a span on failure."""
     if isinstance(e, S.Var):
         ty = env.bindings.get(e.name.text)
         if ty is None or isinstance(ty, S.ChanSort):
-            raise TypeError_(f"unbound variable '{e.name}'", e.span)
+            raise MlgError(f"unbound variable '{e.name}'", e.span)
         return ty
     if isinstance(e, S.NatLit):
         return S.NAT
     if isinstance(e, S.Succ):
         arg = infer_comp(env, e.arg)
         if not isinstance(arg, S.NatType):
-            raise TypeError_(f"succ expects nat, got {arg}", e.span)
+            raise MlgError(f"succ expects nat, got {arg}", e.span)
         return S.NAT
     if isinstance(e, S.Rec):
         scrut = infer_comp(env, e.scrutinee)
         if not isinstance(scrut, S.NatType):
-            raise TypeError_(f"rec scrutinee must be nat, got {scrut}", e.span)
+            raise MlgError(f"rec scrutinee must be nat, got {scrut}", e.span)
         zero_ty = infer_comp(env, e.zero_branch)
         body_env = env.with_comp(e.succ_binder.text, S.NAT).with_comp(
             e.rec_binder.text, zero_ty
         )
         succ_ty = infer_comp(body_env, e.succ_branch)
         if succ_ty != zero_ty:
-            raise TypeError_(
+            raise MlgError(
                 f"rec branches disagree: {zero_ty} vs {succ_ty}", e.span
             )
         return zero_ty
@@ -79,10 +73,10 @@ def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
     if isinstance(e, S.App):
         fn_ty = infer_comp(env, e.fn)
         if not isinstance(fn_ty, S.ArrowType):
-            raise TypeError_(f"cannot apply a value of type {fn_ty}", e.span)
+            raise MlgError(f"cannot apply a value of type {fn_ty}", e.span)
         arg_ty = infer_comp(env, e.arg)
         if arg_ty != fn_ty.domain:
-            raise TypeError_(
+            raise MlgError(
                 f"argument type {arg_ty} does not match parameter type "
                 f"{fn_ty.domain}",
                 e.arg.span,
@@ -91,18 +85,18 @@ def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
     if isinstance(e, S.FieldSel):
         subj = infer_comp(env, e.subject)
         if not isinstance(subj, S.ObjType):
-            raise TypeError_(
+            raise MlgError(
                 f"field selection on non-object type {subj}", e.span
             )
         ty = subj.lookup(e.label.text)
         if ty is None:
-            raise TypeError_(
+            raise MlgError(
                 f"object has no field '{e.label}' (fields: "
                 f"{', '.join(subj.labels())})",
                 e.span,
             )
         return ty
-    raise TypeError_(f"unknown expression form {type(e).__name__}", e.span)
+    raise MlgError(f"unknown expression form {type(e).__name__}", e.span)
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +125,24 @@ def check_data(
     if isinstance(d, S.UpdateObject):
         target_ty = infer_comp(env, d.target)
         if not isinstance(target_ty, S.ObjType):
-            raise TypeError_(
+            raise MlgError(
                 f"update target has non-object type {target_ty}", d.span
             )
         for lab, new_value in d.updates:
             declared = target_ty.lookup(lab.text)
             if declared is None:
-                raise TypeError_(
+                raise MlgError(
                     f"update writes unknown field '{lab}'", lab.span
                 )
             actual = infer_comp(env, new_value)
             if actual != declared:
-                raise TypeError_(
+                raise MlgError(
                     f"update changes type of field '{lab}' from {declared} "
                     f"to {actual}",
                     new_value.span,
                 )
         return target_ty
-    raise TypeError_(f"unknown data form {type(d).__name__}", d.span)
+    raise MlgError(f"unknown data form {type(d).__name__}", d.span)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +174,7 @@ def _payload_sort(
     if isinstance(payload, S.NamePayload):
         sort = env.bindings.get(payload.name.text)
         if sort is None:
-            raise TypeError_(f"unbound name '{payload.name}'", payload.span)
+            raise MlgError(f"unbound name '{payload.name}'", payload.span)
         return sort
     if isinstance(payload, S.CompPayload):
         return infer_comp(env, payload.expr)
@@ -191,64 +185,37 @@ def _payload_sort(
 def _check_action(
     env: TypeEnv,
     action: S.ProcAction,
-    diags: list[Diagnostic],
     annotations: dict[int, S.ObjType] | None,
-) -> TypeEnv | None:
-    """Check one action; returns the continuation environment or None."""
+) -> TypeEnv:
+    """Check one action; returns the continuation environment."""
     if isinstance(action, S.Match):
-        try:
-            left = _payload_sort(env, action.left, annotations)
-            right = _payload_sort(env, action.right, annotations)
-        except TypeError_ as exc:
-            diags.append(exc.diagnostic)
-            return None
+        left = _payload_sort(env, action.left, annotations)
+        right = _payload_sort(env, action.right, annotations)
         lcat, rcat = _category_of_sort(left), _category_of_sort(right)
         if lcat != rcat:
-            diags.append(
-                Diagnostic(
-                    f"match compares {lcat} with {rcat}", action.span
-                )
-            )
-            return None
+            raise MlgError(f"match compares {lcat} with {rcat}", action.span)
         if lcat == CAT_FN:
-            diags.append(
-                Diagnostic("functions are not comparable in match", action.span)
-            )
-            return None
+            raise MlgError("functions are not comparable in match",
+                           action.span)
         if isinstance(action.left, S.ObjPayload) or isinstance(
             action.right, S.ObjPayload
         ):
-            diags.append(
-                Diagnostic(
-                    "match guards may not create or update objects",
-                    action.span,
-                )
-            )
-            return None
-        return _check_action(env, action.inner, diags, annotations)
+            raise MlgError("match guards may not create or update objects",
+                           action.span)
+        return _check_action(env, action.inner, annotations)
 
     chan = env.bindings.get(action.chan.text)
     if not isinstance(chan, S.ChanSort):
-        diags.append(
-            Diagnostic(f"unsorted channel '{action.chan}'", action.chan.span)
-        )
-        return None
+        raise MlgError(f"unsorted channel '{action.chan}'", action.chan.span)
     sort = chan.inner
     if isinstance(action, S.Send):
-        try:
-            actual = _payload_sort(env, action.payload, annotations)
-        except TypeError_ as exc:
-            diags.append(exc.diagnostic)
-            return None
+        actual = _payload_sort(env, action.payload, annotations)
         if actual != sort:
-            diags.append(
-                Diagnostic(
-                    f"channel '{action.chan}' carries {sort} but payload "
-                    f"has sort {actual}",
-                    action.span,
-                )
+            raise MlgError(
+                f"channel '{action.chan}' carries {sort} but payload "
+                f"has sort {actual}",
+                action.span,
             )
-            return None
         return env
     # Receive: the binder gets the channel's sort
     return env.with_comp(action.binder.text, sort)
@@ -277,8 +244,10 @@ def _check_proc(
     # environment of the one term below them
     while True:
         if isinstance(p, S.Prefix):
-            env = _check_action(env, p.action, diags, annotations)
-            if env is None:
+            try:
+                env = _check_action(env, p.action, annotations)
+            except MlgError as exc:
+                diags.extend(exc.diagnostics)
                 return
             p = p.continuation
         elif isinstance(p, S.Restrict):
@@ -310,7 +279,6 @@ def _check_proc(
 
 @dataclass
 class CheckResult:
-    env: TypeEnv
     def_types: dict[str, S.CompType]
     diagnostics: list[Diagnostic]
     # MakeObject node id -> statically inferred signature (for allocation)
@@ -331,8 +299,8 @@ def check_program(program: S.Program) -> CheckResult:
         if isinstance(item, S.DefDef):
             try:
                 ty = infer_comp(env, item.body)
-            except TypeError_ as exc:
-                diags.append(exc.diagnostic)
+            except MlgError as exc:
+                diags.extend(exc.diagnostics)
                 continue
             env = env.with_comp(item.name.text, ty)
             def_types[item.name.text] = ty
@@ -343,4 +311,4 @@ def check_program(program: S.Program) -> CheckResult:
             proc_env[item.name.text] = item.body
     if program.entry is not None:
         diags.extend(check_proc(env, program.entry, proc_env, annotations))
-    return CheckResult(env, def_types, diags, annotations)
+    return CheckResult(def_types, diags, annotations)

@@ -102,7 +102,7 @@ PROC_CHANNELS = ("c1", "c2")
 def gen_action(
     rng: random.Random, binders: set[str], chans: tuple[str, ...]
 ) -> S.ProcAction:
-    chan = S.Name(rng.choice(chans), S.CHANNEL)
+    chan = S.Name(rng.choice(chans))
     if rng.random() < 0.5:
         payload = S.CompPayload(S.NatLit(rng.randrange(3)))
         action: S.ProcAction = S.Send(chan, payload)
@@ -159,7 +159,7 @@ def gen_proc(
 
 def proc_program(term: S.ProcTerm) -> S.Program:
     decls = tuple(
-        S.ChanDecl(S.Name(c, S.CHANNEL), S.NAT)
+        S.ChanDecl(S.Name(c), S.NAT)
         for c in PROC_CHANNELS
     )
     return S.Program(decls, term)

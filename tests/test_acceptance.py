@@ -123,10 +123,10 @@ def test_acceptance_4_atomicity(capsys):
     graph = explore(program, annotations=result.obj_annotations)
     bad = 0
     for state in graph.states:
-        # store snapshot rows: (id, version, ((label, rendered value), ...))
-        for _, version, fields in state.store:
+        # store rows: (id, version, ((label, ("n", value)), ...), numbers)
+        for _, version, fields, _ in state.store:
             values = dict(fields)
-            combo = tuple(int(values[lab]) for lab in ("fx", "fy", "fz"))
+            combo = tuple(values[lab][1] for lab in ("fx", "fy", "fz"))
             if combo not in RACE_ALLOWED.get(version, set()):
                 bad += 1
     ok = bad == 0 and len(graph.states) <= 1000 and not graph.deadlocks
@@ -150,7 +150,7 @@ def _family():
 
 
 def _instance_program(instance):
-    chans = [S.Name("c1", S.CHANNEL), S.Name("c2", S.CHANNEL)]
+    chans = [S.Name("c1"), S.Name("c2")]
     decls = tuple(S.ChanDecl(n, S.NAT) for n in chans)
 
     def chain(seq):
@@ -232,14 +232,14 @@ def test_acceptance_6_determinism(capsys):
 
 def _canon(term):
     decls = tuple(
-        S.ChanDecl(S.Name(c, S.CHANNEL), S.NAT) for c in ("c1", "c2")
+        S.ChanDecl(S.Name(c), S.NAT) for c in ("c1", "c2")
     )
     return canonicalize(initial_configuration(S.Program(decls, term)))
 
 
 def _rename_chan(term, old, new):
     def name(n):
-        return S.Name(new, n.kind) if n.text == old else n
+        return S.Name(new) if n.text == old else n
 
     def action(a):
         if isinstance(a, S.Send):
@@ -288,7 +288,7 @@ def test_acceptance_7_congruence_laws(capsys):
         if isinstance(p, S.Restrict):  # alpha-equivalence
             fresh = f"renamed{i}"
             variant = S.Restrict(
-                S.Name(fresh, S.CHANNEL), p.chan_sort,
+                S.Name(fresh), p.chan_sort,
                 _rename_chan(p.body, p.chan.text, fresh),
             )
             checks.append(_canon(variant) == _canon(p))

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import demo_path
 from test_run_golden import HANDWRITTEN, UNCHECKED
+from test_run_inside_explore import CLOSURES_IN_OBJECTS
 
 from mlg import engine
 from mlg.cli import main
@@ -109,6 +110,19 @@ def test_explore_deadlock_exit_3_with_witness(capsys):
     assert code == 3
     assert "deadlocks=1" in out
     assert "deadlock witness (length 0):" in out
+
+
+def test_explore_tells_objects_apart_by_the_functions_they_hold(capsys,
+                                                               tmp_path):
+    path = write(tmp_path, CLOSURES_IN_OBJECTS)
+    code, out, err = invoke(capsys, "run", path, "--seed", "0")
+    assert code == 3
+    code, out, err = invoke(capsys, "explore", path)
+    assert code == 3
+    assert out == (
+        "states=6 edges=5 deadlocks=1 terminals=1 frontier=0\n"
+        "deadlock witness (length 2):\n#0 comm(c)\n#1 comm(d)\n"
+    )
 
 
 def test_explore_budget_cut_exit_5(capsys, tmp_path):

@@ -81,7 +81,8 @@ def char_tokenize(text):
 
 
 def flat(tokens):
-    return [(t.kind, t.text, *t.span) for t in tokens]
+    return [(kind, text, *tokens.span(i))
+            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
 
 
 def assert_same_tokens(text):

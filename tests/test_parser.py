@@ -236,7 +236,7 @@ def test_fmt_idempotent_on_random_programs():
         term = gen_proc(rng, depth=4)
         program = S.Program(
             tuple(
-                S.ChanDecl(S.Name(c, S.CHANNEL), S.NAT)
+                S.ChanDecl(S.Name(c), S.NAT)
                 for c in ("c1", "c2")
             ),
             term,

@@ -4,12 +4,13 @@ import pytest
 
 from mlg import syntax as S
 from mlg import typecheck as T
+from mlg.diagnostics import MlgError
 from mlg.engine import run
 from mlg.evaluate import EvalFault, FuelExhausted
 from mlg.parser import parse_comp_expr, parse_payload, parse_proc_term
 from mlg.prelude import load_program
 from mlg.typecheck import (
-    TypeEnv, TypeError_, check_data, check_proc, check_program, infer_comp,
+    TypeEnv, check_data, check_proc, check_program, infer_comp,
 )
 
 from termgen import gen_closed_nat_term
@@ -36,23 +37,23 @@ def test_add_has_curried_type():
 
 
 def test_unbound_variable():
-    with pytest.raises(TypeError_) as exc:
+    with pytest.raises(MlgError) as exc:
         infer("ghost")
     assert "unbound variable" in str(exc.value)
 
 
 def test_apply_non_arrow():
-    with pytest.raises(TypeError_):
+    with pytest.raises(MlgError):
         infer("z z")
 
 
 def test_argument_mismatch():
-    with pytest.raises(TypeError_):
+    with pytest.raises(MlgError):
         infer("(fun (f : nat -> nat) f z) z")
 
 
 def test_rec_branch_mismatch():
-    with pytest.raises(TypeError_):
+    with pytest.raises(MlgError):
         infer("rec z { z -> z | succ(x) with r -> fun (y : nat) y }")
 
 
@@ -61,10 +62,10 @@ def test_field_selection_types():
     env = TypeEnv().with_comp("f", obj)
     assert infer("f.size", env) == NAT
     assert infer("f.acl", env) == N2N
-    with pytest.raises(TypeError_) as exc:
+    with pytest.raises(MlgError) as exc:
         infer("f.missing", env)
     assert "no field" in str(exc.value)
-    with pytest.raises(TypeError_):
+    with pytest.raises(MlgError):
         infer("z.size", env)
 
 
@@ -97,7 +98,7 @@ def test_check_data_update_preserves_signature():
 def test_update_unknown_field():
     env = TypeEnv().with_comp("f", FILE_SIG)
     payload = parse_payload("f.[bogus <= z]")
-    with pytest.raises(TypeError_) as exc:
+    with pytest.raises(MlgError) as exc:
         check_data(env, payload.data)
     assert "unknown field" in str(exc.value)
 
@@ -105,7 +106,7 @@ def test_update_unknown_field():
 def test_update_changing_type_rejected():
     env = TypeEnv().with_comp("f", FILE_SIG)
     payload = parse_payload("f.[size <= fun (x : nat) x]")
-    with pytest.raises(TypeError_):
+    with pytest.raises(MlgError):
         check_data(env, payload.data)
 
 
@@ -184,16 +185,16 @@ def test_weakening(seed):
     widened = TypeEnv().with_comp("unused_binding_zz", NAT)
     try:
         ty = infer_comp(base, term)
-    except TypeError_:
+    except MlgError:
         pytest.fail("generated term should be well-typed")
     assert infer_comp(widened, term) == ty
 
 
 def test_diagnostics_carry_spans():
     src = "fun (x : nat) ghost"
-    with pytest.raises(TypeError_) as exc:
+    with pytest.raises(MlgError) as exc:
         infer(src)
-    span = exc.value.diagnostic.span
+    span = exc.value.diagnostics[0].span
     assert src[span.start:span.end].startswith("ghost")
 
 
