@@ -3,13 +3,3 @@ labeled stateful objects, and channel-based coordination, with a seeded
 reduction engine and a bounded deadlock explorer."""
 
 __version__ = "0.1.0"
-
-from .parser import (  # noqa: F401
-    parse_comp_expr, parse_proc_term, parse_program,
-)
-from .pretty import pretty  # noqa: F401
-from .typecheck import check_program, infer_comp, TypeEnv  # noqa: F401
-from .evaluate import eval_comp, Fuel, ValueEnv  # noqa: F401
-from .engine import run, enabled_redexes, step  # noqa: F401
-from .explorer import canonicalize, explore, find_deadlocks  # noqa: F401
-from .prelude import load_prelude, load_program  # noqa: F401

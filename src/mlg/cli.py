@@ -14,9 +14,10 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from .diagnostics import Diagnostic, MlgError
+from .diagnostics import MlgError
 from .engine import DEADLOCK, STEP_LIMIT, TERMINATED, render_trace, run
 from .explorer import explore, find_deadlocks
+from .parser import parse_program
 from .prelude import load_program
 from .pretty import pretty_program
 from .typecheck import check_program
@@ -99,66 +100,35 @@ def _read_input(path: str) -> tuple[str, str]:
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _emit_diagnostics(diags, fmt: str, filename: str | None = None) -> None:
-    """Print diagnostics, placed in `filename` when one is given."""
-    for diag in diags:
-        if filename is not None:
-            diag = replace(diag, filename=filename)
-        if fmt == "records":
-            print(json.dumps(diag.to_record(), sort_keys=True),
-                  file=sys.stderr)
-        else:
-            print(diag.render(), file=sys.stderr)
-
-
-def _runtime_fault(exc: MlgError, filename: str, fmt: str) -> int:
-    """Report a fault raised while running the input, in its file."""
-    _emit_diagnostics(exc.diagnostics, fmt, filename)
-    return EXIT_CHECK
-
-
-def _load_checked(args):
-    """Parse + check per the flags; returns (program, annotations,
-    filename)."""
-    text, filename = _read_input(args.input)
-    try:
-        program = load_program(
-            text, filename,
-            include_prelude=not args.no_prelude,
-            block_size=args.block_size,
-        )
-    except MlgError as exc:
-        _emit_diagnostics(exc.diagnostics, args.fmt)
-        raise SystemExit(EXIT_CHECK) from None
+def _load_checked(args, text: str, filename: str):
+    """Parse + check per the flags; returns (program, annotations)."""
+    program = load_program(
+        text, filename,
+        include_prelude=not args.no_prelude,
+        block_size=args.block_size,
+    )
     if args.no_repl and (repl := program.first_repl()):
-        _emit_diagnostics(
-            [Diagnostic("replication is disabled (--no-repl)", repl.span)],
-            args.fmt, filename)
-        raise SystemExit(EXIT_CHECK)
+        raise MlgError("replication is disabled (--no-repl)", repl.span)
     annotations = {}
     if not args.unchecked:
         result = check_program(program)
-        annotations = result.obj_annotations
         if not result.ok:
-            _emit_diagnostics(result.diagnostics, args.fmt, filename)
-            raise SystemExit(EXIT_CHECK)
-    return program, annotations, filename
+            raise MlgError(result.diagnostics)
+        annotations = result.obj_annotations
+    return program, annotations
 
 
-def cmd_check(args) -> int:
-    _load_checked(args)
+def cmd_check(args, text: str, filename: str) -> int:
+    _load_checked(args, text, filename)
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    program, annotations, filename = _load_checked(args)
-    try:
-        _, verdict, trace = run(
-            program, seed=args.seed, max_steps=args.max_steps,
-            annotations=annotations,
-        )
-    except MlgError as exc:
-        return _runtime_fault(exc, filename, args.fmt)
+def cmd_run(args, text: str, filename: str) -> int:
+    program, annotations = _load_checked(args, text, filename)
+    _, verdict, trace = run(
+        program, seed=args.seed, max_steps=args.max_steps,
+        annotations=annotations,
+    )
     sys.stdout.write(render_trace(trace, args.fmt))
     if verdict == TERMINATED:
         return EXIT_OK
@@ -167,15 +137,12 @@ def cmd_run(args) -> int:
     return EXIT_STEP_LIMIT
 
 
-def cmd_explore(args) -> int:
-    program, annotations, filename = _load_checked(args)
-    try:
-        graph = explore(
-            program, max_depth=args.depth, max_states=args.states,
-            repl_budget=args.repl_budget, annotations=annotations,
-        )
-    except MlgError as exc:
-        return _runtime_fault(exc, filename, args.fmt)
+def cmd_explore(args, text: str, filename: str) -> int:
+    program, annotations = _load_checked(args, text, filename)
+    graph = explore(
+        program, max_depth=args.depth, max_states=args.states,
+        repl_budget=args.repl_budget, annotations=annotations,
+    )
     if args.dot:
         dot = graph.to_dot()
         if args.dot == "-":
@@ -216,22 +183,15 @@ def cmd_explore(args) -> int:
     return EXIT_BUDGET_CUT if cuts else EXIT_OK
 
 
-def cmd_fmt(args) -> int:
-    text, filename = _read_input(args.input)
-    try:
-        from .parser import parse_program
-
-        program = parse_program(text, filename)
-    except MlgError as exc:
-        _emit_diagnostics(exc.diagnostics, args.fmt)
-        return EXIT_CHECK
-    sys.stdout.write(pretty_program(program))
+def cmd_fmt(args, text: str, filename: str) -> int:
+    sys.stdout.write(pretty_program(parse_program(text, filename)))
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        text, filename = _read_input(args.input)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     handler = {
@@ -241,11 +201,14 @@ def main(argv: list[str] | None = None) -> int:
         "fmt": cmd_fmt,
     }[args.command]
     try:
-        return handler(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return handler(args, text, filename)
     except MlgError as exc:
-        _emit_diagnostics(exc.diagnostics, getattr(args, "fmt", "text"))
+        # every fault in the input, static or at run time, is reported
+        # here, placed in its file
+        for diag in exc.diagnostics:
+            diag = replace(diag, filename=filename)
+            print(json.dumps(diag.to_record(), sort_keys=True)
+                  if args.fmt == "records" else diag.render(), file=sys.stderr)
         return EXIT_CHECK
 
 

@@ -158,17 +158,15 @@ def eval_payload(
     A fault, fuel exhaustion included, is located at the payload's span.
     """
     try:
-        if isinstance(payload, S.NamePayload):
+        if isinstance(payload, S.Var):
             return env.lookup(payload.name.text), 0
-        if isinstance(payload, S.CompPayload):
-            result = eval_comp(env, config.store, payload.expr,
-                               Fuel(DEFAULT_FUEL))
+        if not isinstance(payload, S.DataExpr):
+            result = eval_comp(env, config.store, payload, Fuel(DEFAULT_FUEL))
             return result.value, result.steps
-        # ObjPayload
         if not mutate:
             raise EvalFault(
                 "object creation/update is not allowed in a guard")
-        return _eval_data(config, env, payload.data)
+        return _eval_data(config, env, payload)
     except EvalFault as fault:
         raise fault.at(payload.span) from None
 
@@ -593,7 +591,7 @@ def step(config: Configuration, redex: Redex) -> Configuration:
 
     if new.trace is not None:
         delta = ()
-        if isinstance(payload, S.ObjPayload):  # it wrote the object it names
+        if isinstance(payload, S.DataExpr):  # it wrote the object it names
             delta = (new.store.objects[value.id].render(),)
             new.trace.append(TraceEvent("update", new.step_count,
                                         store_delta=delta))

@@ -111,12 +111,8 @@ def _walk(term: S.ProcTerm, env: ValueEnv):
             return ("repl", walk(node.body, env, bound))
         if isinstance(node, S.ProcRef):
             return ("ref", node.name.text)
-        if isinstance(node, (S.NamePayload, S.Var)):
+        if isinstance(node, S.Var):
             return walk(node.name, env, bound)
-        if isinstance(node, S.CompPayload):
-            return walk(node.expr, env, bound)
-        if isinstance(node, S.ObjPayload):
-            return walk(node.data, env, bound)
         if isinstance(node, S.MakeObject):
             return ("obj", tuple((lab.text, walk(e, env, bound))
                                  for lab, e in node.fields))

@@ -286,17 +286,11 @@ class Parser:
     # -- payloads ----------------------------------------------------------
 
     def parse_payload(self) -> S.Payload:
-        span = self.span(self.pos)
         if self.at("["):
+            span = self.span(self.pos)
             fields = self.parse_field_list("=", self.parse_expr, "")
-            return S.ObjPayload(S.MakeObject(fields, span), span)
-        expr = self.parse_payload_expr()
-        if isinstance(expr, (S.MakeObject, S.UpdateObject)):
-            return S.ObjPayload(expr, span)
-        if isinstance(expr, S.Var):
-            # bare identifier: channel vs variable resolved from scope later
-            return S.NamePayload(expr.name, span)
-        return S.CompPayload(expr, span)
+            return S.MakeObject(fields, span)
+        return self.parse_payload_expr()
 
     def parse_payload_expr(self):
         """Like parse_expr but admitting a trailing `.[l <= e, ...]` update."""

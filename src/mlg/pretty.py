@@ -58,14 +58,6 @@ def pretty_data(d: S.DataExpr) -> str:
     return f"{_expr(d.target, _POSTFIX)}.[{inner}]"
 
 
-def pretty_payload(p: S.Payload) -> str:
-    if isinstance(p, S.NamePayload):
-        return p.name.text
-    if isinstance(p, S.CompPayload):
-        return pretty_expr(p.expr)
-    return pretty_data(p.data)
-
-
 # -- processes --------------------------------------------------------------
 
 _PAR, _SUM, _PREFIXED = 0, 1, 2
@@ -73,11 +65,11 @@ _PAR, _SUM, _PREFIXED = 0, 1, 2
 
 def _action(a: S.ProcAction) -> str:
     if isinstance(a, S.Send):
-        return f"{a.chan}!({pretty_payload(a.payload)})"
+        return f"{a.chan}!({pretty_expr(a.payload)})"
     if isinstance(a, S.Receive):
         return f"{a.chan}?({a.binder})"
     return (
-        f"[{pretty_payload(a.left)} = {pretty_payload(a.right)}] "
+        f"[{pretty_expr(a.left)} = {pretty_expr(a.right)}] "
         f"{_action(a.inner)}"
     )
 
@@ -142,8 +134,6 @@ def pretty(item) -> str:
     if isinstance(item, (S.Nil, S.Prefix, S.Sum, S.Par, S.Restrict,
                          S.Repl, S.ProcRef)):
         return pretty_proc(item)
-    if isinstance(item, (S.NamePayload, S.CompPayload, S.ObjPayload)):
-        return pretty_payload(item)
     if isinstance(item, (S.NatType, S.ArrowType, S.ObjType, S.ChanSort)):
         return str(item)
     return pretty_expr(item)

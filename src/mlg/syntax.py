@@ -198,32 +198,9 @@ DataExpr = MakeObject | UpdateObject
 # ---------------------------------------------------------------------------
 # Coordination-core payloads and processes
 
-
-@dataclass(frozen=True)
-class NamePayload:
-    """A bare identifier in payload position.
-
-    Variable and channel namespaces are shared, so which category the name
-    belongs to is resolved by the checker/engine from the enclosing scope.
-    """
-
-    name: Name
-    span: Span = field(default=DUMMY_SPAN, compare=False)
-
-
-@dataclass(frozen=True)
-class CompPayload:
-    expr: CompExpr
-    span: Span = field(default=DUMMY_SPAN, compare=False)
-
-
-@dataclass(frozen=True)
-class ObjPayload:
-    data: DataExpr
-    span: Span = field(default=DUMMY_SPAN, compare=False)
-
-
-Payload = NamePayload | CompPayload | ObjPayload
+# A payload is the expression it sends; a bare name is a `Var`, resolved
+# as a variable or a channel from the enclosing scope
+Payload = CompExpr | DataExpr
 
 
 @dataclass(frozen=True)

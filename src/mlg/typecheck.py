@@ -171,15 +171,14 @@ def _payload_sort(
     annotations: dict[int, S.ObjType] | None,
 ) -> S.Sort:
     """The sort a payload would need its channel to carry."""
-    if isinstance(payload, S.NamePayload):
+    if isinstance(payload, S.Var):
         sort = env.bindings.get(payload.name.text)
         if sort is None:
             raise MlgError(f"unbound name '{payload.name}'", payload.span)
         return sort
-    if isinstance(payload, S.CompPayload):
-        return infer_comp(env, payload.expr)
-    # ObjPayload
-    return check_data(env, payload.data, annotations)
+    if isinstance(payload, S.DataExpr):
+        return check_data(env, payload, annotations)
+    return infer_comp(env, payload)
 
 
 def _check_action(
@@ -197,8 +196,8 @@ def _check_action(
         if lcat == CAT_FN:
             raise MlgError("functions are not comparable in match",
                            action.span)
-        if isinstance(action.left, S.ObjPayload) or isinstance(
-            action.right, S.ObjPayload
+        if isinstance(action.left, S.DataExpr) or isinstance(
+            action.right, S.DataExpr
         ):
             raise MlgError("match guards may not create or update objects",
                            action.span)

@@ -104,16 +104,14 @@ def gen_action(
 ) -> S.ProcAction:
     chan = S.Name(rng.choice(chans))
     if rng.random() < 0.5:
-        payload = S.CompPayload(S.NatLit(rng.randrange(3)))
+        payload = S.NatLit(rng.randrange(3))
         action: S.ProcAction = S.Send(chan, payload)
     else:
         binder = _fresh(rng, "v", binders)
         action = S.Receive(chan, binder)
     if rng.random() < 0.15:
         k = rng.randrange(3)
-        action = S.Match(
-            S.CompPayload(S.NatLit(k)), S.CompPayload(S.NatLit(k)), action
-        )
+        action = S.Match(S.NatLit(k), S.NatLit(k), action)
     return action
 
 

@@ -157,7 +157,7 @@ def _instance_program(instance):
         term = S.Nil()
         for op, c in reversed(seq):
             if op == "!":
-                action = S.Send(chans[c], S.CompPayload(S.NatLit(0)))
+                action = S.Send(chans[c], S.NatLit(0))
             else:
                 action = S.Receive(chans[c], S.Name("v"))
             term = S.Prefix(action, term)

@@ -277,11 +277,35 @@ def test_fmt_idempotent(capsys):
      "3:10: error: functions are not comparable in match"),
     ("system = [[a = 1] = 1] c!(1) . 0\n",
      "1:10: error: match compares an object with a nat"),
+    ("chan c : nat\nsystem = c!(1) . )\n",
+     "2:18: error: expected a process, found ')'"),
+    ("def f = succ(fun (x : nat) x)\n",
+     "1:9: error: succ expects nat, got nat -> nat"),
+    ("def f = rec (fun (x : nat) x) { z -> z | succ(p) with r -> r }\n",
+     "1:9: error: rec scrutinee must be nat, got nat -> nat"),
+    ("def f = z\nchan c : [a : nat]\nsystem = c!(f.[a <= 1]) . 0\n",
+     "3:13: error: update target has non-object type nat"),
+    ("chan c : nat\nsystem = c!(x) . 0\n", "2:13: error: unbound name 'x'"),
+    # a payload's span is its expression's, inside any parentheses
+    ("chan c : nat\nsystem = c!((x)) . 0\n", "2:14: error: unbound name 'x'"),
 ])
 def test_check_diagnostic_text(capsys, tmp_path, text, diagnostic):
     path = write(tmp_path, text)
     code, out, err = invoke(capsys, "check", path)
     assert (code, err) == (2, f"{path}:{diagnostic}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_fmt_reports_a_parse_fault_in_the_file(capsys, tmp_path, fmt):
+    path = write(tmp_path, "chan c nat\n")
+    code, out, err = invoke(capsys, "fmt", path, "--format", fmt)
+    assert (code, out) == (2, "")
+    if fmt == "records":
+        assert json.loads(err) == {
+            "file": path, "line": 1, "col": 8, "severity": "error",
+            "message": "expected ':', found 'nat'"}
+    else:
+        assert err == f"{path}:1:8: error: expected ':', found 'nat'\n"
 
 
 def test_parenthesized_arrow_domain_formats_and_runs(capsys, tmp_path):
@@ -368,7 +392,7 @@ def test_check_records_format_diagnostics(capsys, tmp_path):
     assert record["severity"] == "error"
 
 
-# each program faults at run time at the payload, guard or def on line 2
+# each program faults at run time at the payload, guard or def it names
 RUNTIME_FAULTS = {
     "payload": ("chan c : nat\nsystem = c!(blockCount 300) . 0 | c?(y) . 0\n",
                 "2:13", "evaluation exceeded the 1000-step budget"),
@@ -380,6 +404,17 @@ RUNTIME_FAULTS = {
             "2:1", "evaluation exceeded the 1000-step budget"),
     "sort": ("chan c : chan(nat)\nsystem = c!(4) . 0 | c?(x) . 0\n",
              "2:13", "payload 4 does not inhabit sort chan(nat)"),
+    # a payload's span is its expression's, inside any parentheses
+    "sort-parenthesized": ("chan c : chan(nat)\n"
+                           "system = c!((4)) . 0 | c?(x) . 0\n",
+                           "2:14", "payload 4 does not inhabit sort chan(nat)"),
+    "update-target": ("def f = z\nchan c : [a : nat]\n"
+                      "system = c!(f.[a <= 1]) . 0 | c?(y) . 0\n",
+                      "3:13", "update target is not an object"),
+    "object-in-guard": ("chan c : nat\n"
+                        "system = [[a = 1] = c] c!(1) . 0 | c?(y) . 0\n",
+                        "2:11", "object creation/update is not allowed in "
+                                "a guard"),
 }
 
 

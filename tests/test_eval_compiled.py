@@ -229,7 +229,7 @@ def test_compiled_code_does_not_keep_the_syntax_tree_alive():
         "chan c : nat\n"
         "system = c!(twice (blockCount 9)) . 0 | c?(y) . 0\n")
     twice = next(d for d in program.comp_defs() if d.name.text == "twice")
-    payload = program.entry.operands[0].action.payload.expr
+    payload = program.entry.operands[0].action.payload
     nodes = [weakref.ref(node) for node in (twice, twice.body.body, payload)]
     config, verdict, trace = run(program)
     assert verdict == TERMINATED and "c(6)" in trace[0].render()

@@ -7,6 +7,9 @@ running a program need nothing from `mlg.typecheck`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,8 +32,7 @@ ALLOWED = {
     "prelude": {"diagnostics", "syntax", "parser", "pretty", "typecheck"},
     "cli": {"diagnostics", "parser", "pretty", "typecheck", "engine",
             "explorer", "prelude"},
-    "__init__": {"parser", "pretty", "typecheck", "evaluate", "engine",
-                 "explorer", "prelude"},
+    "__init__": set(),
     "__main__": {"cli"},
 }
 
@@ -64,3 +66,15 @@ def test_module_imports_only_its_allowed_modules(module):
                 imported_modules(SRC / f"{module}.py")
                 if name.startswith("mlg.")} & set(ALLOWED)
     assert imported <= ALLOWED[module]
+
+
+def test_checking_a_program_does_not_import_the_runtime():
+    # the package re-exports nothing, so loading and checking a program
+    # imports no layer that only running or printing it needs
+    code = ("import sys, mlg, mlg.prelude, mlg.typecheck; "
+            "print(sorted(set(sys.modules) & {'mlg.engine', 'mlg.explorer', "
+            "'mlg.evaluate', 'mlg.store', 'mlg.pretty'}))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -26,9 +26,7 @@ def test_numeral_desugars_to_iterated_succ():
 
 
 def test_file_object_literal():
-    payload = parse_payload("[size = z, creation = t, permissions = p]")
-    assert isinstance(payload, S.ObjPayload)
-    make = payload.data
+    make = parse_payload("[size = z, creation = t, permissions = p]")
     assert isinstance(make, S.MakeObject)
     assert [lab.text for lab, _ in make.fields] == [
         "size", "creation", "permissions"
@@ -45,8 +43,7 @@ def test_write_reserve_pipeline():
     assert isinstance(inner.action, S.Send)
     assert inner.action.chan.text == "reserve"
     payload = inner.action.payload
-    assert isinstance(payload, S.CompPayload)
-    assert payload.expr == S.App(
+    assert payload == S.App(
         S.Var(S.Name("blockCount")), S.Var(S.Name("n"))
     )
     assert inner.continuation == S.Nil()
@@ -58,16 +55,14 @@ def test_pretty_trivia():
 
 
 def test_update_payload():
-    payload = parse_payload("f.[size <= mul s two, permissions <= q]")
-    assert isinstance(payload, S.ObjPayload)
-    upd = payload.data
+    upd = parse_payload("f.[size <= mul s two, permissions <= q]")
     assert isinstance(upd, S.UpdateObject)
     assert upd.target == S.Var(S.Name("f"))
     assert [lab.text for lab, _ in upd.updates] == ["size", "permissions"]
 
 
 def test_bare_identifier_payload_is_name():
-    assert parse_payload("c") == S.NamePayload(S.Name("c"))
+    assert parse_payload("c") == S.Var(S.Name("c"))
 
 
 def test_duplicate_label_rejected_with_span():

@@ -79,7 +79,7 @@ FILE_SIG = S.ObjType((
 def test_check_data_file_object():
     env = TypeEnv().with_comp("t", NAT).with_comp("p", NAT)
     payload = parse_payload("[size = z, creation = t, permissions = p]")
-    assert check_data(env, payload.data) == FILE_SIG
+    assert check_data(env, payload) == FILE_SIG
 
 
 def test_check_data_update_preserves_signature():
@@ -92,14 +92,14 @@ def test_check_data_update_preserves_signature():
         .with_comp("mul", S.ArrowType(NAT, N2N))
     )
     payload = parse_payload("f.[size <= mul s two, permissions <= q]")
-    assert check_data(env, payload.data) == FILE_SIG
+    assert check_data(env, payload) == FILE_SIG
 
 
 def test_update_unknown_field():
     env = TypeEnv().with_comp("f", FILE_SIG)
     payload = parse_payload("f.[bogus <= z]")
     with pytest.raises(MlgError) as exc:
-        check_data(env, payload.data)
+        check_data(env, payload)
     assert "unknown field" in str(exc.value)
 
 
@@ -107,7 +107,7 @@ def test_update_changing_type_rejected():
     env = TypeEnv().with_comp("f", FILE_SIG)
     payload = parse_payload("f.[size <= fun (x : nat) x]")
     with pytest.raises(MlgError):
-        check_data(env, payload.data)
+        check_data(env, payload)
 
 
 def test_check_proc_pipeline_ok():
