@@ -148,8 +148,12 @@ def cmd_explore(args, text: str, filename: str) -> int:
         if args.dot == "-":
             sys.stdout.write(dot)
         else:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot)
+            try:
+                with open(args.dot, "w", encoding="utf-8") as handle:
+                    handle.write(dot)
+            except OSError as exc:
+                print(f"mlg: cannot write {args.dot}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
     deadlocks = find_deadlocks(graph)
     witness = deadlocks[0][1] if deadlocks else []
     summary = {

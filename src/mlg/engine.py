@@ -90,7 +90,7 @@ class Configuration:
     next_chan: int = 0
     # plumbing shared by all configurations of one run
     annotations: dict[int, S.ObjType] = field(default_factory=dict)
-    proc_defs: dict[str, S.ProcTerm] = field(default_factory=dict)
+    proc_defs: dict[str, tuple] = field(default_factory=dict)  # (body, env)
     default_repl_budget: int | None = None
     budget_cut: bool = False  # a spawn was suppressed by the repl budget
     # the explorer's canonical-key cache, shared like proc_defs: term ids
@@ -204,8 +204,8 @@ def _normalize(
     out: list | None = None,
 ) -> list[tuple[S.ProcTerm, ValueEnv]]:
     """The (term, env) of each soup member `term` normalizes into: pars
-    split, nils dropped, process references inlined, and each restricted
-    name bound to a ChanRef numbered from `fresh`."""
+    split, nils dropped, references inlined in their definition's scope,
+    and each restricted name bound to a ChanRef numbered from `fresh`."""
     out = [] if out is None else out
     if isinstance(term, S.Par):
         for operand in term.operands:
@@ -215,9 +215,7 @@ def _normalize(
             next(fresh), term.chan_sort, term.chan.text, restricted=True))
         _normalize(config, term.body, env, fresh, out)
     elif isinstance(term, S.ProcRef):
-        body = config.proc_defs.get(term.name.text)
-        if body is None:
-            raise MlgError(f"unbound process name '{term.name}'")
+        body, env = config.proc_defs[term.name.text]
         _normalize(config, body, env, fresh, out)
     elif not isinstance(term, S.Nil):
         out.append((term, env))
@@ -261,7 +259,7 @@ def initial_configuration(
                 config.next_chan, item.sort, item.name.text, restricted=False))
             config.next_chan += 1
         else:
-            config.proc_defs[item.name.text] = item.body
+            config.proc_defs[item.name.text] = (item.body, env)
     if program.entry is not None:
         insert_term(config, program.entry, env)
     return config

@@ -174,7 +174,7 @@ class Parser:
 
     # -- computation expressions -------------------------------------------
 
-    def parse_expr(self) -> S.CompExpr:
+    def parse_expr(self, allow_update: bool = False) -> S.CompExpr:
         kind = self.kinds[self.pos]
         if kind == "fun":
             span = self.span(self.next())
@@ -187,7 +187,7 @@ class Parser:
             return S.Lambda(param, param_type, body, span)
         if kind == "rec":
             return self.parse_rec()
-        return self.parse_app()
+        return self.parse_app(allow_update)
 
     def parse_rec(self) -> S.CompExpr:
         span = self.span(self.expect("rec"))
@@ -213,8 +213,10 @@ class Parser:
             span,
         )
 
-    def parse_app(self) -> S.CompExpr:
-        expr = self.parse_postfix()
+    def parse_app(self, allow_update: bool = False) -> S.CompExpr:
+        expr = self.parse_postfix(allow_update)
+        if isinstance(expr, S.UpdateObject):
+            return expr
         while self.kinds[self.pos] in _ATOM_START:
             arg = self.parse_postfix()
             expr = S.App(expr, arg, expr.span)
@@ -290,19 +292,7 @@ class Parser:
             span = self.span(self.pos)
             fields = self.parse_field_list("=", self.parse_expr, "")
             return S.MakeObject(fields, span)
-        return self.parse_payload_expr()
-
-    def parse_payload_expr(self):
-        """Like parse_expr but admitting a trailing `.[l <= e, ...]` update."""
-        if self.kinds[self.pos] in ("fun", "rec"):
-            return self.parse_expr()
-        expr = self.parse_postfix(allow_update=True)
-        if isinstance(expr, S.UpdateObject):
-            return expr
-        while self.kinds[self.pos] in _ATOM_START:
-            arg = self.parse_postfix()
-            expr = S.App(expr, arg, expr.span)
-        return expr
+        return self.parse_expr(allow_update=True)
 
     # -- processes ---------------------------------------------------------
 

@@ -8,31 +8,15 @@ checked against declared channel sorts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, MlgError
 from . import syntax as S
 
-# ---------------------------------------------------------------------------
-# Environments
-
-
-@dataclass(frozen=True)
-class TypeEnv:
-    """The names in scope. A variable maps to its type and a channel to
-    ChanSort(its sort): variables and channels share one namespace, as in
-    ValueEnv, so the innermost binder of a name wins."""
-
-    bindings: dict[str, S.Sort] = field(default_factory=dict)
-
-    def with_comp(self, name: str, ty: S.Sort) -> "TypeEnv":
-        """Bind `name` at `ty`; a ChanSort makes it a channel."""
-        bindings = dict(self.bindings)
-        bindings[name] = ty
-        return TypeEnv(bindings)
-
-    def with_chan(self, name: str, sort: S.Sort) -> "TypeEnv":
-        return self.with_comp(name, S.ChanSort(sort))
+# The names in scope. A variable maps to its type and a channel to
+# ChanSort(its sort): variables and channels share one namespace, as in
+# ValueEnv, so the innermost binder of a name wins.
+TypeEnv = dict[str, S.Sort]
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +26,7 @@ class TypeEnv:
 def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
     """Type of `e` under `env`; raises MlgError with a span on failure."""
     if isinstance(e, S.Var):
-        ty = env.bindings.get(e.name.text)
+        ty = env.get(e.name.text)
         if ty is None or isinstance(ty, S.ChanSort):
             raise MlgError(f"unbound variable '{e.name}'", e.span)
         return ty
@@ -58,9 +42,8 @@ def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
         if not isinstance(scrut, S.NatType):
             raise MlgError(f"rec scrutinee must be nat, got {scrut}", e.span)
         zero_ty = infer_comp(env, e.zero_branch)
-        body_env = env.with_comp(e.succ_binder.text, S.NAT).with_comp(
-            e.rec_binder.text, zero_ty
-        )
+        body_env = {**env, e.succ_binder.text: S.NAT,
+                    e.rec_binder.text: zero_ty}
         succ_ty = infer_comp(body_env, e.succ_branch)
         if succ_ty != zero_ty:
             raise MlgError(
@@ -68,7 +51,7 @@ def infer_comp(env: TypeEnv, e: S.CompExpr) -> S.CompType:
             )
         return zero_ty
     if isinstance(e, S.Lambda):
-        body_ty = infer_comp(env.with_comp(e.param.text, e.param_type), e.body)
+        body_ty = infer_comp({**env, e.param.text: e.param_type}, e.body)
         return S.ArrowType(e.param_type, body_ty)
     if isinstance(e, S.App):
         fn_ty = infer_comp(env, e.fn)
@@ -172,7 +155,7 @@ def _payload_sort(
 ) -> S.Sort:
     """The sort a payload would need its channel to carry."""
     if isinstance(payload, S.Var):
-        sort = env.bindings.get(payload.name.text)
+        sort = env.get(payload.name.text)
         if sort is None:
             raise MlgError(f"unbound name '{payload.name}'", payload.span)
         return sort
@@ -203,7 +186,7 @@ def _check_action(
                            action.span)
         return _check_action(env, action.inner, annotations)
 
-    chan = env.bindings.get(action.chan.text)
+    chan = env.get(action.chan.text)
     if not isinstance(chan, S.ChanSort):
         raise MlgError(f"unsorted channel '{action.chan}'", action.chan.span)
     sort = chan.inner
@@ -217,18 +200,17 @@ def _check_action(
             )
         return env
     # Receive: the binder gets the channel's sort
-    return env.with_comp(action.binder.text, sort)
+    return {**env, action.binder.text: sort}
 
 
 def check_proc(
     env: TypeEnv,
     p: S.ProcTerm,
-    proc_env: dict[str, S.ProcTerm] | None = None,
     annotations: dict[int, S.ObjType] | None = None,
 ) -> list[Diagnostic]:
     """Diagnostics for a process term; empty list means ok."""
     diags: list[Diagnostic] = []
-    _check_proc(env, p, diags, proc_env or {}, annotations)
+    _check_proc(env, p, diags, annotations)
     return diags
 
 
@@ -236,7 +218,6 @@ def _check_proc(
     env: TypeEnv,
     p: S.ProcTerm,
     diags: list[Diagnostic],
-    proc_env: dict[str, S.ProcTerm],
     annotations: dict[int, S.ObjType] | None,
 ) -> None:
     # prefixes, restrictions and replications extend or keep the
@@ -250,24 +231,19 @@ def _check_proc(
                 return
             p = p.continuation
         elif isinstance(p, S.Restrict):
-            env = env.with_chan(p.chan.text, p.chan_sort)
+            env = {**env, p.chan.text: S.ChanSort(p.chan_sort)}
             p = p.body
         elif isinstance(p, S.Repl):
             p = p.body
         else:
             break
-    if isinstance(p, S.Nil):
+    # a referenced definition is checked where it is defined, in the
+    # scope it runs in
+    if isinstance(p, (S.Nil, S.ProcRef)):
         return
     if isinstance(p, (S.Sum, S.Par)):
         for operand in p.operands:
-            _check_proc(env, operand, diags, proc_env, annotations)
-        return
-    if isinstance(p, S.ProcRef):
-        if p.name.text not in proc_env:
-            diags.append(
-                Diagnostic(f"unbound process name '{p.name}'", p.span)
-            )
-        # the definition itself is checked where it is defined
+            _check_proc(env, operand, diags, annotations)
         return
     diags.append(Diagnostic(f"unknown process form {type(p).__name__}", p.span))
 
@@ -289,11 +265,10 @@ class CheckResult:
 
 
 def check_program(program: S.Program) -> CheckResult:
-    env = TypeEnv()
+    env: TypeEnv = {}
     def_types: dict[str, S.CompType] = {}
     diags: list[Diagnostic] = []
     annotations: dict[int, S.ObjType] = {}
-    proc_env: dict[str, S.ProcTerm] = {}
     for item in program.defs:
         if isinstance(item, S.DefDef):
             try:
@@ -301,13 +276,11 @@ def check_program(program: S.Program) -> CheckResult:
             except MlgError as exc:
                 diags.extend(exc.diagnostics)
                 continue
-            env = env.with_comp(item.name.text, ty)
-            def_types[item.name.text] = ty
+            env[item.name.text] = def_types[item.name.text] = ty
         elif isinstance(item, S.ChanDecl):
-            env = env.with_chan(item.name.text, item.sort)
+            env[item.name.text] = S.ChanSort(item.sort)
         else:  # ProcDef
-            diags.extend(check_proc(env, item.body, proc_env, annotations))
-            proc_env[item.name.text] = item.body
+            diags.extend(check_proc(env, item.body, annotations))
     if program.entry is not None:
-        diags.extend(check_proc(env, program.entry, proc_env, annotations))
+        diags.extend(check_proc(env, program.entry, annotations))
     return CheckResult(def_types, diags, annotations)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import demo_path
 from test_run_golden import HANDWRITTEN, UNCHECKED
-from test_run_inside_explore import CLOSURES_IN_OBJECTS
+from test_run_inside_explore import CLOSURES_IN_OBJECTS, DEFINITION_SCOPE
 
 from mlg import engine
 from mlg.cli import main
@@ -110,6 +110,20 @@ def test_explore_deadlock_exit_3_with_witness(capsys):
     assert code == 3
     assert "deadlocks=1" in out
     assert "deadlock witness (length 0):" in out
+
+
+def test_a_definition_runs_in_the_scope_it_was_checked_in(capsys, tmp_path):
+    path = write(tmp_path, DEFINITION_SCOPE)
+    assert invoke(capsys, "check", path) == (0, "", "")
+    for seed in range(6):
+        code, out, err = invoke(capsys, "run", path, "--seed", str(seed))
+        assert (code, err) == (3, "")
+        assert "comm e(1)" in out
+        assert out.endswith(" deadlock\n")
+    assert invoke(capsys, "explore", path) == (3, (
+        "states=4 edges=4 deadlocks=1 terminals=0 frontier=0\n"
+        "deadlock witness (length 3):\n"
+        "#0 comm(c)\n#1 comm(d)\n#2 comm(e)\n"), "")
 
 
 def test_explore_tells_objects_apart_by_the_functions_they_hold(capsys,
@@ -243,6 +257,17 @@ def test_explore_dot_output(capsys, tmp_path):
     assert "digraph states {" in out
 
 
+def test_explore_dot_to_an_unwritable_path_is_a_diagnostic(capsys, tmp_path):
+    dot = str(tmp_path / "missing" / "x.dot")
+    code, out, err = invoke(
+        capsys, "explore", str(demo_path("deadlock_recv.mlg")), "--dot", dot
+    )
+    assert code == 1
+    assert err.startswith(f"mlg: cannot write {dot}: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_fmt_idempotent(capsys):
     code, once, _ = invoke(capsys, "fmt", str(demo_path("filesystem.mlg")))
     assert code == 0
@@ -260,6 +285,15 @@ def test_fmt_idempotent(capsys):
         sys.stdin = stdin
     assert code2 == 0
     assert twice == once
+
+
+# a definition may use only the process names defined above it
+UNBOUND_PROCS = [
+    ("chan c : nat\nproc P = c!(1) . P\n",
+     "2:18: error: unbound process name 'P'"),
+    ("chan c : nat\nproc P = Q\nproc Q = c!(1) . 0\n",
+     "2:10: error: unbound process name 'Q'"),
+]
 
 
 @pytest.mark.parametrize("text, diagnostic", [
@@ -288,11 +322,24 @@ def test_fmt_idempotent(capsys):
     ("chan c : nat\nsystem = c!(x) . 0\n", "2:13: error: unbound name 'x'"),
     # a payload's span is its expression's, inside any parentheses
     ("chan c : nat\nsystem = c!((x)) . 0\n", "2:14: error: unbound name 'x'"),
+    *UNBOUND_PROCS,
 ])
 def test_check_diagnostic_text(capsys, tmp_path, text, diagnostic):
     path = write(tmp_path, text)
     code, out, err = invoke(capsys, "check", path)
     assert (code, err) == (2, f"{path}:{diagnostic}\n")
+
+
+# the parser is the one resolver of process names, so skipping the
+# checker skips no report of them
+@pytest.mark.parametrize("command", ["run", "explore"])
+@pytest.mark.parametrize("text, diagnostic", UNBOUND_PROCS)
+def test_unbound_process_names_are_reported_unchecked(capsys, tmp_path,
+                                                      text, diagnostic,
+                                                      command):
+    path = write(tmp_path, text)
+    code, out, err = invoke(capsys, command, path, "--unchecked")
+    assert (code, out, err) == (2, "", f"{path}:{diagnostic}\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])

@@ -140,13 +140,13 @@ def test_states_do_not_record_which_restricted_channels_were_sent():
 
 
 def test_siblings_giving_one_id_to_two_sorts_stay_apart():
-    # unchecked: P's r is the one in scope where P is inlined, so one term
-    # reads a nat channel on one path and a chan(nat) channel on the other,
-    # and both paths give that channel the same id
+    # unchecked: both branches of the sum restrict r, one at nat and one at
+    # chan(nat), and give it the same id, so after c carries r the one term
+    # s?(v) . 0 reads a channel of that id at either sort
     program = load_program(
-        "chan a : nat\nchan b : nat\nproc P = r?(v) . 0\n"
-        "system = a!(1) . 0 | a?(x) . (new r : nat in P)"
-        " | b!(1) . 0 | b?(y) . (new r : chan(nat) in P)\n",
+        "chan a : nat\nchan c : chan(nat)\n"
+        "system = a!(1) . 0 | (a?(x) . (new r : nat in c!(r) . 0)"
+        " + a?(x) . (new r : chan(nat) in c!(r) . 0)) | c?(s) . s?(v) . 0\n",
         include_prelude=False)
     graph = explore(program)
     assert len(graph.states) == 5

@@ -31,6 +31,20 @@ system = (c!([f = fun (x : nat) x]) . 0 + c!([f = fun (x : nat) succ(x)]) . 0)
        | c?(o) . d!(o.f 1) . 0 | d?(y) . [y = 1] e!(0) . 0 | e?(w) . 0
 """
 
+# P runs in the scope of its definition, where x is 1, not in that of
+# its reference, where the receive bound x to 5 or 6: so e!(x) never
+# passes e's guard, and every run deadlocks
+DEFINITION_SCOPE = """
+def x = 1
+chan c : nat
+chan d : nat
+chan e : nat
+chan f : nat
+proc P = e!(x) . 0
+system = (c!(5) . 0 + c!(6) . 0) | c?(x) . d?(u) . P | d!(0) . 0
+       | e?(w) . [w = 5] f!(0) . 0 | f?(q) . 0
+"""
+
 SEEDS = range(20)
 
 
@@ -47,13 +61,14 @@ def _replicates(term) -> bool:
 
 
 def _replication_free() -> dict[str, str]:
-    """The demos, the explorer's hand-written golden programs and the one
+    """The demos, the explorer's hand-written golden programs and the two
     above, less those with a replication, which `run` unfolds past any
     budget `explore` is given."""
     texts = {f"demo/{p.name}": p.read_text(encoding="utf-8")
              for p in sorted(DEMOS.glob("*.mlg"))}
     texts.update((f"hand/{name}", text) for name, text in HANDWRITTEN.items())
     texts["closures-in-objects"] = CLOSURES_IN_OBJECTS
+    texts["definition-scope"] = DEFINITION_SCOPE
     free = {}
     for name, text in texts.items():
         program = parse_program(text)

@@ -9,9 +9,7 @@ from mlg.engine import run
 from mlg.evaluate import EvalFault, FuelExhausted
 from mlg.parser import parse_comp_expr, parse_payload, parse_proc_term
 from mlg.prelude import load_program
-from mlg.typecheck import (
-    TypeEnv, check_data, check_proc, check_program, infer_comp,
-)
+from mlg.typecheck import check_data, check_proc, check_program, infer_comp
 
 from termgen import gen_closed_nat_term
 
@@ -20,7 +18,7 @@ N2N = S.ArrowType(NAT, NAT)
 
 
 def infer(src, env=None):
-    return infer_comp(env or TypeEnv(), parse_comp_expr(src))
+    return infer_comp(env or {}, parse_comp_expr(src))
 
 
 def test_zero_is_nat():
@@ -59,7 +57,7 @@ def test_rec_branch_mismatch():
 
 def test_field_selection_types():
     obj = S.ObjType(((S.Name("size"), NAT), (S.Name("acl"), N2N)))
-    env = TypeEnv().with_comp("f", obj)
+    env = {"f": obj}
     assert infer("f.size", env) == NAT
     assert infer("f.acl", env) == N2N
     with pytest.raises(MlgError) as exc:
@@ -77,26 +75,20 @@ FILE_SIG = S.ObjType((
 
 
 def test_check_data_file_object():
-    env = TypeEnv().with_comp("t", NAT).with_comp("p", NAT)
+    env = {"t": NAT, "p": NAT}
     payload = parse_payload("[size = z, creation = t, permissions = p]")
     assert check_data(env, payload) == FILE_SIG
 
 
 def test_check_data_update_preserves_signature():
-    env = (
-        TypeEnv()
-        .with_comp("f", FILE_SIG)
-        .with_comp("s", NAT)
-        .with_comp("q", NAT)
-        .with_comp("two", NAT)
-        .with_comp("mul", S.ArrowType(NAT, N2N))
-    )
+    env = {"f": FILE_SIG, "s": NAT, "q": NAT, "two": NAT,
+           "mul": S.ArrowType(NAT, N2N)}
     payload = parse_payload("f.[size <= mul s two, permissions <= q]")
     assert check_data(env, payload) == FILE_SIG
 
 
 def test_update_unknown_field():
-    env = TypeEnv().with_comp("f", FILE_SIG)
+    env = {"f": FILE_SIG}
     payload = parse_payload("f.[bogus <= z]")
     with pytest.raises(MlgError) as exc:
         check_data(env, payload)
@@ -104,61 +96,49 @@ def test_update_unknown_field():
 
 
 def test_update_changing_type_rejected():
-    env = TypeEnv().with_comp("f", FILE_SIG)
+    env = {"f": FILE_SIG}
     payload = parse_payload("f.[size <= fun (x : nat) x]")
     with pytest.raises(MlgError):
         check_data(env, payload)
 
 
 def test_check_proc_pipeline_ok():
-    env = (
-        TypeEnv()
-        .with_chan("write", S.NAT)
-        .with_chan("reserve", S.NAT)
-        .with_comp("blockCount", N2N)
-    )
+    env = {"write": S.ChanSort(NAT), "reserve": S.ChanSort(NAT),
+           "blockCount": N2N}
     term = parse_proc_term("write?(n) . reserve!(blockCount n) . 0")
     assert check_proc(env, term) == []
 
 
 def test_check_nil_ok():
-    assert check_proc(TypeEnv(), parse_proc_term("0")) == []
+    assert check_proc({}, parse_proc_term("0")) == []
 
 
 def test_payload_sort_mismatch():
-    env = TypeEnv().with_chan("c", S.ChanSort(S.NAT))
+    env = {"c": S.ChanSort(S.ChanSort(NAT))}
     diags = check_proc(env, parse_proc_term("c!(z) . 0"))
     assert diags and "payload" in diags[0].message
 
 
 def test_unsorted_channel():
-    diags = check_proc(TypeEnv(), parse_proc_term("c!(z) . 0"))
+    diags = check_proc({}, parse_proc_term("c!(z) . 0"))
     assert diags and "unsorted channel" in diags[0].message
 
 
 def test_match_across_categories_rejected():
-    env = (
-        TypeEnv()
-        .with_chan("c", S.NAT)
-        .with_chan("d", S.NAT)
-    )
+    env = {"c": S.ChanSort(NAT), "d": S.ChanSort(NAT)}
     term = parse_proc_term("[c = z] d!(z) . 0")
     diags = check_proc(env, term)
     assert diags and "match compares" in diags[0].message
 
 
 def test_match_on_functions_rejected():
-    env = (
-        TypeEnv()
-        .with_comp("f", N2N)
-        .with_chan("c", S.NAT)
-    )
+    env = {"f": N2N, "c": S.ChanSort(NAT)}
     diags = check_proc(env, parse_proc_term("[f = f] c!(z) . 0"))
     assert diags and "not comparable" in diags[0].message
 
 
 def test_receive_binder_bound_at_sort_type():
-    env = TypeEnv().with_chan("c", S.ChanSort(S.NAT))
+    env = {"c": S.ChanSort(S.ChanSort(NAT))}
     # x arrives as a channel carrying nat, so x!(z) is fine
     assert check_proc(env, parse_proc_term("c?(x) . x!(z) . 0")) == []
     # and sending it again requires a chan(nat)-carrying channel
@@ -168,11 +148,11 @@ def test_receive_binder_bound_at_sort_type():
 
 def test_restrict_introduces_sort():
     term = parse_proc_term("new c : nat in c!(2) . 0")
-    assert check_proc(TypeEnv(), term) == []
+    assert check_proc({}, term) == []
 
 
 def test_infer_is_deterministic():
-    env = TypeEnv()
+    env = {}
     e = parse_comp_expr("fun (x : nat) succ(x)")
     assert infer_comp(env, e) == infer_comp(env, e)
 
@@ -181,8 +161,8 @@ def test_infer_is_deterministic():
 def test_weakening(seed):
     rng = random.Random(seed)
     term = gen_closed_nat_term(rng, depth=6)
-    base = TypeEnv()
-    widened = TypeEnv().with_comp("unused_binding_zz", NAT)
+    base = {}
+    widened = {"unused_binding_zz": NAT}
     try:
         ty = infer_comp(base, term)
     except MlgError:
@@ -227,6 +207,14 @@ SHADOWING = {
     ("rec", "variable"): ("def r = fun (n : nat) n\nchan c : nat\n"
                           "system = c!(rec 2 { z -> 0 | succ(k) with r -> "
                           "succ(r) }) . 0 | c?(y) . 0\n", True),
+    # a process definition runs in the scope it is defined in, whatever
+    # binders surround its reference
+    ("new above a process name", "variable"): (
+        "def x = 1\nchan c : nat\nproc P = c!(x) . 0\n"
+        "system = (new x : nat in P) | c?(y) . 0\n", True),
+    ("receive above a process name", "channel"): (
+        "chan c : nat\nchan e : nat\nproc P = c!(1) . 0\n"
+        "system = e!(5) . 0 | e?(c) . P | c?(y) . 0\n", True),
 }
 
 
