@@ -3,18 +3,18 @@
 States are quotiented by structural congruence: the top-level parallel
 composition (the soup) is flattened and its nils dropped; in each member's
 key, env-bound free names become their values, a `|` nested directly in
-another is spliced into it, and sum and par operands are sorted; top-level
-restricted channels are numbered by first occurrence in the members ordered
-by key, with restricted channels neutral, then by pid, and within a member
-in the order of its sorted sum and par operands; a state keeps only their
-sorts in number order. Scope extrusion is a law, so a state does not record
-which restricted channels were sent, and the declared channels, the same in
-every state, are not part of it. Binder names inside continuations are
-still compared by name. The object store is part of state identity, so
-data-dependent coordination is explored correctly: each object's fields
-are keyed as the soup's values are, so objects holding different functions
-differ, and restricted channels held in fields are numbered after the
-soup's. Deadlock witnesses are read off the edges `explore` records.
+another is spliced into it, and sum and par operands are sorted; a key
+names a restricted channel by its sort, and top-level restricted channels
+are numbered by first occurrence in the members ordered by key, then by
+pid, and within a member in the order of its sorted sum and par operands.
+Scope extrusion is a law, so a state does not record which restricted
+channels were sent, and the declared channels, the same in every state,
+are not part of it. Binder names inside continuations are still compared
+by name. The object store is part of state identity, so data-dependent
+coordination is explored correctly: each object's fields are keyed as the
+soup's values are, so objects holding different functions differ, and
+restricted channels held in fields are numbered after the soup's.
+Deadlock witnesses are read off the edges `explore` records.
 
 A member's key, its restricted channels and its numbered entries are
 computed once and kept on the member, so a successor pays only for the
@@ -143,7 +143,7 @@ def _walk(term: S.ProcTerm, env: ValueEnv):
         if isinstance(node, ChanRef):
             if node.restricted:
                 occurs.append(node)
-                return ("r",)
+                return ("r", str(node.sort))
             return ("c", node.id)
         if isinstance(node, ObjRef):
             return ("o", node.id)
@@ -203,7 +203,6 @@ def _member_entry(cache: dict, member: SoupMember) -> tuple:
 class CanonicalState:
     soup: tuple[tuple, ...]
     store: tuple
-    sorts: tuple[str, ...]  # of the numbered restricted channels, in order
     # tuples do not cache their hashes, so `canonicalize` builds the hash
     # from its members' cached ones; equal states still hash equal, since
     # every part of it comes from structure
@@ -224,12 +223,12 @@ def canonicalize(config: Configuration) -> CanonicalState:
     memos = [_member_entry(cache, member) for member in config.soup]
     # stable, and the soup is in pid order: equal keys stay in pid order
     memos.sort(key=itemgetter(0))
-    # restricted channel id -> (its number, its ref)
-    alias: dict[int, tuple[int, ChanRef]] = {}
+    # restricted channel id -> its number
+    alias: dict[int, int] = {}
     soup = []
     for key, occurs, entry in memos:
         if occurs:
-            numbers = tuple([alias.setdefault(ref.id, (len(alias), ref))[0]
+            numbers = tuple([alias.setdefault(ref.id, len(alias))
                              for ref in occurs])
             numbered = entry.get(numbers)
             if numbered is None:
@@ -248,14 +247,12 @@ def canonicalize(config: Configuration) -> CanonicalState:
         for lab, value in sorted(obj.fields.items()):
             key, occurs, _ = _walk(value, EMPTY_ENV)
             fields.append((lab, key))
-            numbers += [alias.setdefault(ref.id, (len(alias), ref))[0]
+            numbers += [alias.setdefault(ref.id, len(alias))
                         for ref in occurs]
         store.append((obj.id, obj.version, tuple(fields), tuple(numbers)))
     store = tuple(store)
-    sorts = tuple([str(ref.sort) for _, ref in alias.values()])
     keys, hashes = zip(*soup) if soup else ((), ())
-    return CanonicalState(keys, store, cache.setdefault(sorts, sorts),
-                          hash((hashes, store, sorts)))
+    return CanonicalState(keys, store, hash((hashes, store)))
 
 
 # ---------------------------------------------------------------------------

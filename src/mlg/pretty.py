@@ -1,4 +1,4 @@
-"""Pretty-printer; `parse(pretty(t))` is structurally identical to `t`."""
+"""Pretty-printer; `parse(pretty_program(p)) == p`, spans aside."""
 
 from __future__ import annotations
 
@@ -124,16 +124,3 @@ def pretty_program(program: S.Program) -> str:
         lines.append(f"system = {pretty_proc(program.entry)}")
     return "\n".join(lines) + "\n"
 
-
-def pretty(item) -> str:
-    """Render any syntax item back to concrete syntax."""
-    if isinstance(item, S.Program):
-        return pretty_program(item)
-    if isinstance(item, (S.MakeObject, S.UpdateObject)):
-        return pretty_data(item)
-    if isinstance(item, (S.Nil, S.Prefix, S.Sum, S.Par, S.Restrict,
-                         S.Repl, S.ProcRef)):
-        return pretty_proc(item)
-    if isinstance(item, (S.NatType, S.ArrowType, S.ObjType, S.ChanSort)):
-        return str(item)
-    return pretty_expr(item)

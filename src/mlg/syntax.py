@@ -1,7 +1,8 @@
 """Abstract syntax for the three language cores.
 
-Structural equality ignores source spans, so `parse(pretty(t)) == t` is the
-round-trip law used throughout the tests.
+Structural equality ignores source spans, so `parse(pretty_program(p)) == p`
+is the round-trip law used throughout the tests. The parser alone checks
+that syntax is well formed.
 """
 
 from __future__ import annotations
@@ -47,15 +48,8 @@ class ArrowType:
 
 @dataclass(frozen=True)
 class ObjType:
-    # ordered (label, type) pairs; labels pairwise distinct, at least one
+    # ordered (label, type) pairs, as parsed: labels distinct, at least one
     signature: tuple[tuple[Name, "CompType"], ...]
-
-    def __post_init__(self):
-        labels = [lab.text for lab, _ in self.signature]
-        if not labels:
-            raise ValueError("object signature must have at least one field")
-        if len(set(labels)) != len(labels):
-            raise ValueError("object signature has duplicate labels")
 
     def lookup(self, label: str) -> "CompType | None":
         for lab, ty in self.signature:
@@ -123,10 +117,6 @@ class Rec:
     succ_branch: CompExpr
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
-    def __post_init__(self):
-        if self.succ_binder.text == self.rec_binder.text:
-            raise ValueError("rec binders must be distinct")
-
 
 @dataclass(frozen=True)
 class Lambda:
@@ -170,26 +160,12 @@ class MakeObject:
     fields: tuple[tuple[Name, CompExpr], ...]
     span: Span = field(default=DUMMY_SPAN, compare=False)
 
-    def __post_init__(self):
-        labels = [lab.text for lab, _ in self.fields]
-        if not labels:
-            raise ValueError("object literal must have at least one field")
-        if len(set(labels)) != len(labels):
-            raise ValueError("object literal has duplicate labels")
-
 
 @dataclass(frozen=True)
 class UpdateObject:
     target: CompExpr
     updates: tuple[tuple[Name, CompExpr], ...]
     span: Span = field(default=DUMMY_SPAN, compare=False)
-
-    def __post_init__(self):
-        labels = [lab.text for lab, _ in self.updates]
-        if not labels:
-            raise ValueError("update must write at least one field")
-        if len(set(labels)) != len(labels):
-            raise ValueError("update has duplicate labels")
 
 
 DataExpr = MakeObject | UpdateObject

@@ -126,6 +126,21 @@ def test_a_definition_runs_in_the_scope_it_was_checked_in(capsys, tmp_path):
         "#0 comm(c)\n#1 comm(d)\n#2 comm(e)\n"), "")
 
 
+def test_explore_merges_operand_orders_of_restricted_channels(capsys,
+                                                             tmp_path):
+    # the two branches differ only in the order of `|` operands that hold
+    # restricted channels of different sorts: one successor state
+    branch = "d?(u) . (new x : nat in new y : chan(nat) in c?(w) . ({}))"
+    path = write(tmp_path, (
+        "chan c : nat\nchan d : nat\nsystem = d!(0) . 0 | "
+        + branch.format("x?(a) . 0 | y?(a) . 0") + " + "
+        + branch.format("y?(a) . 0 | x?(a) . 0") + "\n"))
+    assert invoke(capsys, "check", path) == (0, "", "")
+    assert invoke(capsys, "explore", path) == (3, (
+        "states=2 edges=2 deadlocks=1 terminals=0 frontier=0\n"
+        "deadlock witness (length 1):\n#0 comm(d)\n"), "")
+
+
 def test_explore_tells_objects_apart_by_the_functions_they_hold(capsys,
                                                                tmp_path):
     path = write(tmp_path, CLOSURES_IN_OBJECTS)
@@ -287,6 +302,14 @@ def test_fmt_idempotent(capsys):
     assert twice == once
 
 
+def test_fmt_round_trips_field_selection(capsys, tmp_path):
+    text = ("chan c : [size : nat]\nchan d : nat\n"
+            "system = c?(o) . [o.size = 1] d!((fun (y : nat) y) o.size) . 0"
+            " | c!([size = 1]) . 0 | d?(x) . 0\n")
+    # formats to itself, so its output is a fixed point of fmt
+    assert invoke(capsys, "fmt", write(tmp_path, text)) == (0, text, "")
+
+
 # a definition may use only the process names defined above it
 UNBOUND_PROCS = [
     ("chan c : nat\nproc P = c!(1) . P\n",
@@ -323,6 +346,17 @@ UNBOUND_PROCS = [
     # a payload's span is its expression's, inside any parentheses
     ("chan c : nat\nsystem = c!((x)) . 0\n", "2:14: error: unbound name 'x'"),
     *UNBOUND_PROCS,
+    # the parser alone rejects ill-formed syntax: no later stage checks
+    # these again
+    ("def f = rec z { z -> z | succ(x) with x -> z }\n",
+     "1:39: error: rec binders must be distinct"),
+    ("chan c : [a : nat]\nsystem = c!([a = 1, a = 2]) . 0\n",
+     "2:21: error: duplicate field label 'a'"),
+    ("chan c : [a : nat]\nsystem = c?(o) . c!(o.[a <= 1, a <= 2]) . 0\n",
+     "2:32: error: duplicate field label 'a'"),
+    ("chan c : []\n", "1:11: error: expected 'ident', found ']'"),
+    ("chan c : nat\nsystem = c!([]) . 0\n",
+     "2:14: error: expected 'ident', found ']'"),
 ])
 def test_check_diagnostic_text(capsys, tmp_path, text, diagnostic):
     path = write(tmp_path, text)
@@ -393,6 +427,25 @@ def test_no_repl_rejects_replication(capsys, tmp_path):
     record = json.loads(err)
     assert (record["file"], record["line"], record["col"]) == (path, 2, 22)
     assert record["message"] == "replication is disabled (--no-repl)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_no_repl_finds_a_replication_under_new(capsys, tmp_path, fmt):
+    path = write(tmp_path, "chan c : nat\nsystem = c!(1) . 0 | c?(x) . 0\n")
+    assert invoke(capsys, "check", path, "--no-repl", "--format", fmt) == (
+        0, "", "")
+    path = write(tmp_path, "chan c : nat\n"
+                           "system = new r : nat in (!r!(1) . 0 | c!(1) . 0)\n")
+    code, out, err = invoke(capsys, "check", path, "--no-repl",
+                            "--format", fmt)
+    assert (code, out) == (2, "")
+    if fmt == "records":
+        assert json.loads(err) == {
+            "file": path, "line": 2, "col": 26, "severity": "error",
+            "message": "replication is disabled (--no-repl)"}
+    else:
+        assert err == (f"{path}:2:26: error: replication is disabled"
+                       " (--no-repl)\n")
 
 
 def test_no_prelude_hides_stdlib_names(capsys, tmp_path):

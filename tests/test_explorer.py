@@ -153,6 +153,30 @@ def test_siblings_giving_one_id_to_two_sorts_stay_apart():
     assert len(graph.deadlocks) == 2
 
 
+def test_operand_order_of_restricted_channels_of_two_sorts_is_one_state():
+    system = ("chan c : nat\nsystem = new x : nat in new y : chan(nat) in"
+              " c?(w) . ({})\n")
+    assert (canon_of(system.format("x?(a) . 0 | y?(a) . 0"))
+            == canon_of(system.format("y?(a) . 0 | x?(a) . 0")))
+
+
+def test_permuting_par_operands_that_hold_restricted_channels():
+    # metamorphic: every order of the `|` operands gives one initial state
+    # and the same exploration
+    system = ("chan c : nat\nsystem = new x : nat in new y : chan(nat) in"
+              " new q : nat in c?(w) . ({})\n")
+    operands = ["x?(a) . 0", "y?(a) . 0", "q!(1) . 0"]
+    states, counts = set(), set()
+    for order in itertools.permutations(operands):
+        program, ann = load(system.format(" | ".join(order)))
+        graph = explore(program, annotations=ann)
+        states.add(graph.initial)
+        counts.add((len(graph.states), len(graph.edges),
+                    len(graph.deadlocks), len(graph.terminals)))
+    assert len(states) == 1
+    assert len(counts) == 1
+
+
 def test_randomized_par_commutativity():
     rng = random.Random(11)
     for _ in range(50):

@@ -78,3 +78,10 @@ def test_checking_a_program_does_not_import_the_runtime():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_engine_stays_within_its_line_budget():
+    # the scheduler keeps no fact twice; a change that needs more lines
+    # here should first find some to remove
+    lines = (SRC / "engine.py").read_text(encoding="utf-8").splitlines()
+    assert len(lines) <= 662

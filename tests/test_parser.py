@@ -7,7 +7,7 @@ from mlg.diagnostics import MlgError
 from mlg.parser import (
     parse_comp_expr, parse_payload, parse_proc_term, parse_program,
 )
-from mlg.pretty import pretty, pretty_expr, pretty_proc, pretty_program
+from mlg.pretty import pretty_expr, pretty_proc, pretty_program
 
 from termgen import gen_closed_nat_term, gen_proc
 
@@ -50,8 +50,8 @@ def test_write_reserve_pipeline():
 
 
 def test_pretty_trivia():
-    assert pretty(S.NatLit(0)) == "z"
-    assert pretty(S.Par((S.Nil(), S.Nil()))) == "0 | 0"
+    assert pretty_expr(S.NatLit(0)) == "z"
+    assert pretty_proc(S.Par((S.Nil(), S.Nil()))) == "0 | 0"
 
 
 def test_update_payload():
