@@ -158,8 +158,8 @@ def eval_payload(
     A fault, fuel exhaustion included, is located at the payload's span.
     """
     try:
-        if isinstance(payload, S.Var):
-            return env.lookup(payload.name.text), 0
+        if isinstance(payload, S.Var) and payload.name.text in env:
+            return env[payload.name.text], 0
         if not isinstance(payload, S.DataExpr):
             result = eval_comp(env, config.store, payload, Fuel(DEFAULT_FUEL))
             return result.value, result.steps
@@ -211,8 +211,8 @@ def _normalize(
         for operand in term.operands:
             _normalize(config, operand, env, fresh, out)
     elif isinstance(term, S.Restrict):
-        env = env.extend(term.chan.text, ChanRef(
-            next(fresh), term.chan_sort, term.chan.text, restricted=True))
+        env = {**env, term.chan.text: ChanRef(
+            next(fresh), term.chan_sort, term.chan.text, restricted=True)}
         _normalize(config, term.body, env, fresh, out)
     elif isinstance(term, S.ProcRef):
         body, env = config.proc_defs[term.name.text]
@@ -253,10 +253,10 @@ def initial_configuration(
                                   Fuel(DEFAULT_FUEL)).value
             except EvalFault as fault:
                 raise fault.at(item.span) from None
-            env = env.extend(item.name.text, value)
+            env = {**env, item.name.text: value}
         elif isinstance(item, S.ChanDecl):
-            env = env.extend(item.name.text, ChanRef(
-                config.next_chan, item.sort, item.name.text, restricted=False))
+            env = {**env, item.name.text: ChanRef(
+                config.next_chan, item.sort, item.name.text, restricted=False)}
             config.next_chan += 1
         else:
             config.proc_defs[item.name.text] = (item.body, env)
@@ -281,7 +281,7 @@ def _action_offer(
         if left != right:
             return None
         action = action.inner
-    chan_val = env.maybe(action.chan.text)
+    chan_val = env.get(action.chan.text)
     if not isinstance(chan_val, ChanRef):
         raise EvalFault(f"'{action.chan}' is not a channel in this scope"
                         ).at(action.chan.span)
@@ -318,13 +318,13 @@ def _guarded(term: S.ProcTerm) -> bool:
 
 @dataclass(frozen=True)
 class Unfolding:
-    """What one unfolding of a replication would offer, if it spawned now.
+    """What one unfolding of a replication, with the replications it
+    brings unfolded in turn, would offer if it spawned now.
 
     `offers` holds (channel id, is a send) for the channels that already
     exist. `talks` holds the channels on which two members of the unfolding
     could talk to each other, with None for a channel the unfolding itself
-    restricts: such a channel is private to that one unfolding. An
-    unfolding whose guards fault offers nothing.
+    restricts: such a channel is private to that one unfolding.
     """
     offers: frozenset[tuple[int, bool]] = frozenset()
     talks: frozenset[int | None] = frozenset()
@@ -333,14 +333,10 @@ class Unfolding:
 def _unfolding(config: Configuration,
                parts: list[tuple[S.ProcTerm, ValueEnv]]) -> Unfolding:
     polarity: dict[int, tuple[set[int], set[int]]] = {}
-    try:
-        for i, (term, env) in enumerate(parts):
-            for off in _term_offers(config, term, env):
-                sends, receives = polarity.setdefault(off.chan.id,
-                                                      (set(), set()))
-                (sends if isinstance(off.action, S.Send) else receives).add(i)
-    except EvalFault:
-        return Unfolding()
+    for i, (term, env) in enumerate(parts):
+        for off in _term_offers(config, term, env):
+            sends, receives = polarity.setdefault(off.chan.id, (set(), set()))
+            (sends if isinstance(off.action, S.Send) else receives).add(i)
     existing = config.next_chan  # the unfolding's own channels come after
     return Unfolding(
         frozenset((cid, send) for cid, pair in polarity.items()
@@ -365,8 +361,11 @@ def _offers(config: Configuration,
     if value is not None:
         return value
     if isinstance(member.term, S.Repl):
-        parts = _normalize(config, member.term.body, member.env,
-                           itertools.count(config.next_chan))
+        fresh = itertools.count(config.next_chan)
+        parts = _normalize(config, member.term.body, member.env, fresh)
+        for term, env in parts:  # the replications it brings unfold too
+            if isinstance(term, S.Repl):
+                _normalize(config, term.body, env, fresh, parts)
         value = _unfolding(config, parts)
         guarded = any(_guarded(term) for term, _ in parts)
     else:
@@ -585,7 +584,7 @@ def step(config: Configuration, redex: Redex) -> Configuration:
     _assert_sort(new, value, send.chan, payload.span)
     insert_term(new, send.continuation, sender.env)
     insert_term(new, receive.continuation,
-                receiver.env.extend(receive.action.binder.text, value))
+                {**receiver.env, receive.action.binder.text: value})
 
     if new.trace is not None:
         delta = ()

@@ -9,7 +9,7 @@ closures (Feeley & Lapalme, "Using closures for code generation", 1987). A
 node's static scope is the parameter of its nearest enclosing `fun` and the
 `rec` binders between the two; those locals are read from a frame tuple at
 slots fixed at compile time (de Bruijn, 1972), and every other name from the
-ValueEnv. A `fun` evaluated inside a frame copies the frame into its
+env dict. A `fun` evaluated inside a frame copies the frame into its
 closure's env.
 """
 
@@ -22,17 +22,10 @@ from .diagnostics import DUMMY_SPAN, MlgError, Span
 from . import syntax as S
 
 
-@dataclass(frozen=True)
-class NatVal:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("naturals are non-negative")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Closure:
+    """Equal only to itself, since an env dict cannot be hashed; the
+    explorer keys a closure by its structure."""
     param: S.Name
     param_type: S.CompType
     body: S.CompExpr
@@ -55,33 +48,10 @@ class ChanRef:
     restricted: bool = field(compare=False)
 
 
-Value = NatVal | Closure | ObjRef | ChanRef
-
-
-class ValueEnv:
-    """Persistent name->Value map; extension never mutates the parent."""
-
-    __slots__ = ("_bindings",)
-
-    def __init__(self, bindings: dict[str, Value] | None = None):
-        self._bindings = bindings or {}
-
-    def lookup(self, name: str) -> Value:
-        try:
-            return self._bindings[name]
-        except KeyError:
-            raise EvalFault(f"unbound variable '{name}'") from None
-
-    def maybe(self, name: str) -> Value | None:
-        return self._bindings.get(name)
-
-    def extend(self, name: str, value: Value) -> "ValueEnv":
-        child = dict(self._bindings)
-        child[name] = value
-        return ValueEnv(child)
-
-
-EMPTY_ENV = ValueEnv()
+Value = int | Closure | ObjRef | ChanRef
+# a binder extends an env by copy, never in place
+ValueEnv = dict[str, Value]
+EMPTY_ENV: ValueEnv = {}
 
 
 @dataclass
@@ -144,17 +114,6 @@ def eval_comp(
 
 Code = Callable[[ValueEnv, tuple, object, Fuel], Value]
 
-_INTERNED = 256
-# NatVal(n) for n < _INTERNED, shared by all compiled code; filled by the
-# first compilation, since making them at import would slow every start
-_NATS: list[NatVal] = []
-
-
-def _nat(n: int) -> NatVal:
-    """NatVal(n), shared for small n; only for compiled code."""
-    return _NATS[n] if n < _INTERNED else NatVal(n)
-
-
 def _code(e: S.CompExpr, param: str | None) -> Code:
     """The code of `e` as a whole expression (param None, empty frame) or as
     the body of a function of `param` (frame `(arg,)`). It is compiled on
@@ -162,8 +121,6 @@ def _code(e: S.CompExpr, param: str | None) -> Code:
     entry = e.__dict__.get("_code")
     if entry is not None and entry[0] == param:
         return entry[1]
-    if not _NATS:
-        _NATS.extend(map(NatVal, range(_INTERNED)))
     code = _compile(e, () if param is None else (param,))
     object.__setattr__(e, "_code", (param, code))
     return code
@@ -181,11 +138,14 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
             return local
 
         def free(env, frame, store, fuel):
-            return env.lookup(name)
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalFault(f"unbound variable '{name}'") from None
         return free
 
     if isinstance(e, S.NatLit):
-        value = _nat(e.n)
+        value = e.n
 
         def constant(env, frame, store, fuel):
             return value
@@ -196,18 +156,18 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
 
         def succ(env, frame, store, fuel):
             v = inner(env, frame, store, fuel)
-            if not isinstance(v, NatVal):
+            if not isinstance(v, int):
                 raise EvalFault("succ applied to a non-natural")
-            return _nat(v.n + 1)
+            return v + 1
         return succ
 
     if isinstance(e, S.Lambda):
         param, param_type, body = e.param, e.param_type, e.body
 
         def lam(env, frame, store, fuel):
-            for name, value in zip(scope, frame):
-                env = env.extend(name, value)
-            return Closure(param, param_type, body, env)
+            # later binders overwrite earlier ones: the innermost wins
+            return Closure(param, param_type, body,
+                           {**env, **dict(zip(scope, frame))})
         return lam
 
     if isinstance(e, S.App):
@@ -232,16 +192,13 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
 
         def rec(env, frame, store, fuel):
             scrut = scrutinee(env, frame, store, fuel)
-            if not isinstance(scrut, NatVal):
+            if not isinstance(scrut, int):
                 raise EvalFault("rec scrutinee is not a natural")
             # bottom-up unfolding: acc at i is the value of rec applied to i
             acc = zero_branch(env, frame, store, fuel)
-            for i in range(scrut.n):
+            for i in range(scrut):
                 fuel.tick()
-                acc = succ_branch(
-                    env, frame + (_NATS[i] if i < _INTERNED else NatVal(i),
-                                  acc),
-                    store, fuel)
+                acc = succ_branch(env, frame + (i, acc), store, fuel)
             return acc
 
         def rec_of_var(env, frame, store, fuel):
@@ -250,16 +207,15 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
             # are ticked at once, up to the one that runs out, and the
             # branch is read once more
             scrut = scrutinee(env, frame, store, fuel)
-            if not isinstance(scrut, NatVal):
+            if not isinstance(scrut, int):
                 raise EvalFault("rec scrutinee is not a natural")
             acc = zero_branch(env, frame, store, fuel)
-            n = scrut.n
-            if n:
+            if scrut:
                 fuel.tick()
-                acc = succ_branch(env, frame + (_NATS[0], acc), store, fuel)
-            if n > 1:
-                fuel.tick(min(n - 1, fuel.limit - fuel.used + 1))
-                acc = succ_branch(env, frame + (_nat(n - 1), acc), store, fuel)
+                acc = succ_branch(env, frame + (0, acc), store, fuel)
+            if scrut > 1:
+                fuel.tick(min(scrut - 1, fuel.limit - fuel.used + 1))
+                acc = succ_branch(env, frame + (scrut - 1, acc), store, fuel)
             return acc
 
         return rec_of_var if isinstance(e.succ_branch, S.Var) else rec
@@ -287,7 +243,7 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
 def value_inhabits(value: Value, ty: S.CompType, store=None) -> bool:
     """Runtime check that a value inhabits a static type (tag-level)."""
     if isinstance(ty, S.NatType):
-        return isinstance(value, NatVal)
+        return isinstance(value, int)
     if isinstance(ty, S.ArrowType):
         return isinstance(value, Closure) and value.param_type == ty.domain
     if isinstance(ty, S.ObjType):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import syntax as S
-from .evaluate import ChanRef, Closure, EMPTY_ENV, NatVal, ObjRef, ValueEnv
+from .evaluate import ChanRef, Closure, EMPTY_ENV, ObjRef, ValueEnv
 from .engine import (
     Configuration, Redex, ReplSpawn, SoupMember, enabled_redexes,
     initial_configuration, step,
@@ -55,7 +55,7 @@ def _walk(term: S.ProcTerm, env: ValueEnv):
         if isinstance(node, S.Name):
             if node.text not in bound:
                 looked_up[node.text] = None
-                value = env.maybe(node.text)
+                value = env.get(node.text)
                 if value is not None:
                     return walk(value, env, bound)
             return ("v", node.text)
@@ -138,8 +138,8 @@ def _walk(term: S.ProcTerm, env: ValueEnv):
                     walk(node.arg, env, bound))
         if isinstance(node, S.FieldSel):
             return ("sel", walk(node.subject, env, bound), node.label.text)
-        if isinstance(node, NatVal):
-            return ("n", node.n)
+        if isinstance(node, int):
+            return ("n", node)
         if isinstance(node, ChanRef):
             if node.restricted:
                 occurs.append(node)
@@ -165,7 +165,7 @@ def _member_key(cache: dict, member: SoupMember) -> tuple[tuple, tuple]:
     entries."""
     entry = cache.get(id(member.term))
     if entry is not None:
-        values = (member.repl_budget, *map(member.env.maybe, entry[1]))
+        values = (member.repl_budget, *map(member.env.get, entry[1]))
         hit = entry[2].get(values)
         if hit is not None:
             return hit
@@ -174,7 +174,7 @@ def _member_key(cache: dict, member: SoupMember) -> tuple[tuple, tuple]:
         key += (member.repl_budget,)
     _, names, keys = cache.setdefault(id(member.term),
                                       (member.term, names, {}))
-    values = (member.repl_budget, *map(member.env.maybe, names))
+    values = (member.repl_budget, *map(member.env.get, names))
     keys[values] = (cache.setdefault(key, key), occurs)
     return keys[values]
 

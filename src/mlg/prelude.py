@@ -118,4 +118,4 @@ def load_program(
             )
             for name in clashes
         ])
-    return S.Program(base.defs + program.defs, program.entry, program.span)
+    return S.Program(base.defs + program.defs, program.entry)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 from .diagnostics import MlgError
 from . import syntax as S
-from .evaluate import ChanRef, Closure, NatVal, ObjRef
+from .evaluate import ChanRef, Closure, ObjRef
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class StoredObject:
 
 
 def render_value(v) -> str:
-    if isinstance(v, NatVal):
-        return str(v.n)
+    if isinstance(v, int):
+        return str(v)
     if isinstance(v, ObjRef):
         return f"obj#{v.id}"
     if isinstance(v, ChanRef):

@@ -294,7 +294,6 @@ TopItem = DefDef | ChanDecl | ProcDef
 class Program:
     defs: tuple[TopItem, ...]
     entry: ProcTerm | None = None
-    span: Span = field(default=DUMMY_SPAN, compare=False)
 
     def comp_defs(self) -> list[DefDef]:
         return [d for d in self.defs if isinstance(d, DefDef)]

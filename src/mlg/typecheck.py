@@ -15,7 +15,7 @@ from . import syntax as S
 
 # The names in scope. A variable maps to its type and a channel to
 # ChanSort(its sort): variables and channels share one namespace, as in
-# ValueEnv, so the innermost binder of a name wins.
+# the run-time env dict, so the innermost binder of a name wins.
 TypeEnv = dict[str, S.Sort]
 
 

@@ -233,6 +233,43 @@ def test_explore_replications_with_private_channels_deadlock(capsys,
     assert err == ""
 
 
+# a replication that an unfolding brings is unfolded with it, so a spawn
+# whose comm waits one replication deeper is enabled
+NESTED_REPLICATIONS = {
+    "repl-of-repl": (
+        "chan c : nat\nsystem = !!c!(1) . 0 | c?(x) . 0\n",
+        "#0 spawn pid0=>pid2\n#1 spawn pid2=>pid3\n"
+        "#2 comm c(1) pid3->pid1\n#3 deadlock\n",
+        "#0 spawn(pid0)\n#1 spawn(pid2)\n#2 comm(c)\n"),
+    "repl-in-a-repl": (
+        "chan a : nat\nchan b : nat\n"
+        "system = !(a!(1) . 0 | !b!(1) . 0) | b?(x) . 0\n",
+        "#0 spawn pid0=>pid2\n#1 spawn pid3=>pid4\n"
+        "#2 comm b(1) pid4->pid1\n#3 deadlock\n",
+        "#0 spawn(pid0)\n#1 spawn(pid3)\n#2 comm(b)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_REPLICATIONS))
+def test_nested_replications_unfold_to_a_comm(capsys, tmp_path, case):
+    text, trace, witness = NESTED_REPLICATIONS[case]
+    path = write(tmp_path, text)
+    assert invoke(capsys, "check", path) == (0, "", "")
+    assert invoke(capsys, "run", path) == (3, trace, "")
+    assert invoke(capsys, "explore", path) == (
+        3, "states=7 edges=7 deadlocks=2 terminals=0 frontier=1\n"
+           "deadlock witness (length 3):\n" + witness, "")
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_a_faulting_unfolding_is_a_diagnostic(capsys, tmp_path, command):
+    # unchecked: the guard compares a natural with a channel
+    path = write(tmp_path, "chan c : nat\n"
+                           "system = !([1 = c] c!(0) . 0) | c?(y) . 0\n")
+    assert invoke(capsys, command, path, "--unchecked") == (
+        2, "", f"{path}:2:12: error: match on incomparable values\n")
+
+
 def test_explore_records_deadlock_witness(capsys, tmp_path):
     path = write(tmp_path, "chan c : nat\nsystem = c!(1) . c?(x) . 0 "
                            "| c?(y) . 0\n")
@@ -584,7 +621,7 @@ UNCHECKED_FAULTS = {
     "scope": (SHADOWED["receive-rebinds-channel"][0], {1, 2, 3, 4}, (2, 30)),
     "guard-fault": (HANDWRITTEN["guard-fault"][0], {1, 2, 3, 4}, (3, 30)),
     "replicated-guard-fault": (HANDWRITTEN["replicated-guard-fault"][0],
-                               set(), None),
+                               {0, 1, 2, 3, 4}, (3, 12)),
 }
 
 

@@ -11,7 +11,7 @@ from mlg.engine import (
     Comm, DEADLOCK, ReplSpawn, STEP_LIMIT, TERMINATED, enabled_redexes,
     initial_configuration, render_trace, run, step,
 )
-from mlg.evaluate import ChanRef, NatVal
+from mlg.evaluate import ChanRef, EvalFault
 from mlg.prelude import load_program
 from mlg.typecheck import check_program
 
@@ -170,19 +170,18 @@ def test_replication_without_partner_stays_quiet():
     assert enabled_redexes(config) == []
 
 
-def test_replication_with_faulting_guard_offers_nothing():
-    # unchecked: the guard compares a natural with a channel. The faulting
-    # unfolding never spawns, and does not stop the other replication
+def test_replication_with_faulting_guard_faults():
+    # unchecked: the guard compares a natural with a channel. Its unfolding
+    # faults as the guard would after a spawn, at the guard's span
     program = load_program(
         "chan c : nat\n"
         "system = !([1 = c] c!(0) . 0) | !c?(x) . 0 | c!(5) . 0\n",
         include_prelude=False,
     )
-    config, verdict, trace = run(program)
-    assert verdict == DEADLOCK
-    assert [e.render() for e in trace] == [
-        "#0 spawn pid1=>pid3", "#1 comm c(5) pid2->pid3", "#2 deadlock",
-    ]
+    with pytest.raises(EvalFault) as caught:
+        run(program)
+    assert caught.value.diagnostics[0].render() == (
+        "<input>:2:12: error: match on incomparable values")
 
 
 def test_run_nil_terminates_in_zero_steps():
@@ -220,7 +219,7 @@ def test_filesystem_demo_seed_42_orders_write_before_reserve():
     assert write_at < reserve_at
     # the committed file records the written size, in one atomic update
     (obj,) = config.store.objects.values()
-    assert obj.fields["size"] == NatVal(10)
+    assert obj.fields["size"] == 10
     assert obj.version == 1
 
 

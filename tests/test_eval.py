@@ -4,7 +4,7 @@ import pytest
 
 from mlg import syntax as S
 from mlg.evaluate import (
-    EMPTY_ENV, EvalFault, Fuel, FuelExhausted, NatVal, ValueEnv, eval_comp,
+    EMPTY_ENV, EvalFault, Fuel, FuelExhausted, eval_comp,
     value_inhabits,
 )
 from mlg.parser import parse_comp_expr
@@ -24,13 +24,13 @@ def run(src, env=None, store=None, fuel=None):
 
 
 def test_numerals_evaluate_to_themselves():
-    assert run("0").value == NatVal(0)
-    assert run("17").value == NatVal(17)
+    assert run("0").value == 0
+    assert run("17").value == 17
 
 
 def test_add_two_three():
     result = run(f"({ADD_SRC}) 2 3")
-    assert result.value == NatVal(5)
+    assert result.value == 5
     assert result.steps < 100
 
 
@@ -39,7 +39,7 @@ def test_mul_six_seven():
         f"(fun (x : nat) fun (y : nat)"
         f" rec x {{ z -> z | succ(w) with r -> ({ADD_SRC}) y r }}) 6 7"
     )
-    assert run(src).value == NatVal(42)
+    assert run(src).value == 42
 
 
 def test_steps_count_applications_and_unfoldings():
@@ -51,28 +51,28 @@ def test_steps_count_applications_and_unfoldings():
 
 def test_capture_avoidance_inner_binding_wins():
     result = run("(fun (x : nat) fun (x : nat) x) 1 2")
-    assert result.value == NatVal(2)
+    assert result.value == 2
 
 
 def test_closures_capture_their_environment():
     result = run("((fun (x : nat) fun (y : nat) x) 7) 9")
-    assert result.value == NatVal(7)
+    assert result.value == 7
 
 
 def test_field_selection_reads_store():
     store = ObjectStore()
     sig = S.ObjType(((S.Name("size"), S.NAT),))
-    ref = store.alloc(sig, {"size": NatVal(0)})
-    env = ValueEnv({"f": ref})
-    assert run("f.size", env=env, store=store).value == NatVal(0)
+    ref = store.alloc(sig, {"size": 0})
+    env = {"f": ref}
+    assert run("f.size", env=env, store=store).value == 0
 
 
 def test_evaluation_never_writes_the_store():
     store = ObjectStore()
     sig = S.ObjType(((S.Name("size"), S.NAT),))
-    ref = store.alloc(sig, {"size": NatVal(4)})
+    ref = store.alloc(sig, {"size": 4})
     before = store.write_count
-    env = ValueEnv({"f": ref})
+    env = {"f": ref}
     run(f"({ADD_SRC}) f.size f.size", env=env, store=store)
     assert store.write_count == before
 
@@ -92,12 +92,12 @@ def test_fuel_exhaustion():
     with pytest.raises(FuelExhausted):
         run(src, fuel=Fuel(10))
     # the same term fits comfortably in a larger budget
-    assert run(src, fuel=Fuel(10**4)).value == NatVal(100)
+    assert run(src, fuel=Fuel(10**4)).value == 100
 
 
 def test_deep_recursor_does_not_overflow_python_stack():
     src = "rec 50000 { z -> z | succ(w) with r -> succ(r) }"
-    assert run(src, fuel=Fuel(10**6)).value == NatVal(50000)
+    assert run(src, fuel=Fuel(10**6)).value == 50000
 
 
 def test_determinism_same_term_same_result():
@@ -111,17 +111,17 @@ def test_determinism_same_term_same_result():
 
 
 def test_value_inhabits_tags():
-    assert value_inhabits(NatVal(3), S.NAT)
+    assert value_inhabits(3, S.NAT)
     fn = run("fun (x : nat) x").value
     assert value_inhabits(fn, S.ArrowType(S.NAT, S.NAT))
     assert not value_inhabits(fn, S.NAT)
-    assert not value_inhabits(NatVal(0), S.ArrowType(S.NAT, S.NAT))
+    assert not value_inhabits(0, S.ArrowType(S.NAT, S.NAT))
 
 
 def test_prelude_block_count_ten_is_three():
     env = EMPTY_ENV
     for item in prelude_program().comp_defs():
         value = eval_comp(env, None, item.body, Fuel(10**7)).value
-        env = env.extend(item.name.text, value)
+        env = {**env, item.name.text: value}
     result = run("blockCount 10", env=env, fuel=Fuel(10**7))
-    assert result.value == NatVal(3)
+    assert result.value == 3

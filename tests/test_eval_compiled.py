@@ -17,7 +17,7 @@ from mlg import syntax as S
 from mlg.diagnostics import MlgError
 from mlg.engine import TERMINATED, run
 from mlg.evaluate import (
-    EMPTY_ENV, Closure, EvalFault, Fuel, NatVal, ObjRef, ValueEnv, eval_comp,
+    EMPTY_ENV, Closure, EvalFault, Fuel, ObjRef, eval_comp,
 )
 from mlg.parser import parse_comp_expr
 from mlg.prelude import load_program, prelude_program
@@ -28,14 +28,16 @@ from termgen import gen_closed_nat_term, gen_expr, gen_type
 
 def walk(env, store, e, fuel):
     if isinstance(e, S.Var):
-        return env.lookup(e.name.text)
+        if e.name.text not in env:
+            raise EvalFault(f"unbound variable '{e.name.text}'")
+        return env[e.name.text]
     if isinstance(e, S.NatLit):
-        return NatVal(e.n)
+        return e.n
     if isinstance(e, S.Succ):
         inner = walk(env, store, e.arg, fuel)
-        if not isinstance(inner, NatVal):
+        if not isinstance(inner, int):
             raise EvalFault("succ applied to a non-natural")
-        return NatVal(inner.n + 1)
+        return inner + 1
     if isinstance(e, S.Lambda):
         return Closure(e.param, e.param_type, e.body, env)
     if isinstance(e, S.App):
@@ -44,17 +46,16 @@ def walk(env, store, e, fuel):
         if not isinstance(fn, Closure):
             raise EvalFault("applying a non-function value")
         fuel.tick()
-        return walk(fn.env.extend(fn.param.text, arg), store, fn.body, fuel)
+        return walk({**fn.env, fn.param.text: arg}, store, fn.body, fuel)
     if isinstance(e, S.Rec):
         scrut = walk(env, store, e.scrutinee, fuel)
-        if not isinstance(scrut, NatVal):
+        if not isinstance(scrut, int):
             raise EvalFault("rec scrutinee is not a natural")
         acc = walk(env, store, e.zero_branch, fuel)
-        for i in range(scrut.n):
+        for i in range(scrut):
             fuel.tick()
-            branch_env = env.extend(e.succ_binder.text, NatVal(i)).extend(
-                e.rec_binder.text, acc
-            )
+            branch_env = {**env, e.succ_binder.text: i,
+                          e.rec_binder.text: acc}
             acc = walk(branch_env, store, e.succ_branch, fuel)
         return acc
     if isinstance(e, S.FieldSel):
@@ -89,10 +90,10 @@ def same_value(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def same_env(a: ValueEnv, b: ValueEnv) -> bool:
+def same_env(a: dict, b: dict) -> bool:
     if a is b:
         return True
-    left, right = list(a._bindings.items()), list(b._bindings.items())
+    left, right = list(a.items()), list(b.items())
     return ([name for name, _ in left] == [name for name, _ in right]
             and all(same_value(u, v)
                     for (_, u), (_, v) in zip(left, right)))
@@ -114,8 +115,8 @@ def agree(env, store, e, limit=10**7):
 def prelude_env():
     env = EMPTY_ENV
     for item in prelude_program().comp_defs():
-        env = env.extend(item.name.text,
-                         eval_comp(env, None, item.body, Fuel(10**7)).value)
+        env = {**env, item.name.text:
+               eval_comp(env, None, item.body, Fuel(10**7)).value}
     return env
 
 
@@ -166,8 +167,8 @@ def test_acceptance_8_prelude_grid(prelude_env):
 def test_field_selection_reads_the_store(prelude_env):
     store = ObjectStore()
     sig = S.ObjType(((S.Name("size"), S.NAT), (S.Name("mode"), S.NAT)))
-    ref = store.alloc(sig, {"size": NatVal(9), "mode": NatVal(5)})
-    env = prelude_env.extend("f", ref)
+    ref = store.alloc(sig, {"size": 9, "mode": 5})
+    env = {**prelude_env, "f": ref}
     for src in ("f.size", "add f.size f.mode", "blockCount f.size",
                 "(fun (g : nat) hasPermission f.mode g) 2",
                 "rec f.mode { z -> f.size | succ(k) with r -> add k r }",

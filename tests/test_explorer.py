@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from conftest import demo_text
+from conftest import DEMOS, demo_text
 
+from mlg import engine as E
+from mlg import explorer as X
 from mlg import syntax as S
 from mlg import typecheck as T
+from mlg.evaluate import EMPTY_ENV
 from mlg.engine import TERMINATED, initial_configuration, run
 from mlg.explorer import canonicalize, explore, find_deadlocks
 from mlg.prelude import load_program
@@ -292,6 +295,42 @@ def test_engine_runs_land_in_explored_states():
         config, verdict, _ = run(program, seed=seed, annotations=ann)
         assert verdict == TERMINATED
         assert canonicalize(config) in graph.states
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.mlg")))
+def test_run_and_explore_change_no_env_in_place(monkeypatch, demo):
+    # a binder extends an env by copy: the initial members' envs, and the
+    # empty env every program starts from, read the same afterwards
+    program, ann = load(demo_text(demo), prelude=True)
+    built = []
+
+    def recording(*args, **kwargs):
+        config = initial_configuration(*args, **kwargs)
+        built.append([(m, dict(m.env)) for m in config.soup])
+        return config
+    monkeypatch.setattr(E, "initial_configuration", recording)
+    monkeypatch.setattr(X, "initial_configuration", recording)
+    run(program, annotations=ann)
+    explore(program, annotations=ann)
+    assert len(built) == 2 and all(built)
+    for members in built:
+        for member, env in members:
+            assert member.env == env
+    assert EMPTY_ENV == {}
+
+
+def test_equal_closures_are_one_state():
+    # the two senders' closures are distinct objects with equal bodies
+    # and envs: sending either one reaches the same state
+    program, ann = load(
+        "chan c : nat -> nat\nchan d : nat\n"
+        "system = c!(fun (x : nat) x) . 0 | c!(fun (x : nat) x) . 0"
+        " | c?(f) . d!(f 1) . 0 | d?(y) . 0\n")
+    graph = explore(program, annotations=ann)
+    assert (len(graph.states), len(graph.edges), len(graph.deadlocks),
+            len(graph.terminals), len(graph.frontier)) == (3, 3, 1, 0, 0)
+    assert [path for _, path in find_deadlocks(graph)] == [
+        ["comm(c)", "comm(d)"]]
 
 
 def test_to_dot_mentions_deadlocks():

@@ -1,6 +1,6 @@
 import pytest
 
-from mlg.evaluate import EMPTY_ENV, Fuel, NatVal, eval_comp
+from mlg.evaluate import EMPTY_ENV, Fuel, eval_comp
 from mlg.parser import parse_comp_expr, parse_type
 from mlg.prelude import (
     EXPECTED_TYPES, load_prelude, load_program, prelude_program,
@@ -13,7 +13,7 @@ def prelude_env(block_size=None):
     env = EMPTY_ENV
     for item in prelude_program(block_size).comp_defs():
         value = eval_comp(env, None, item.body, Fuel(10**7)).value
-        env = env.extend(item.name.text, value)
+        env = {**env, item.name.text: value}
     return env
 
 
@@ -32,60 +32,60 @@ def test_every_definition_has_its_documented_type():
 
 
 def test_add_and_mul():
-    assert ev("add 2 3") == NatVal(5)
-    assert ev("mul 6 7") == NatVal(42)
+    assert ev("add 2 3") == 5
+    assert ev("mul 6 7") == 42
 
 
 def test_pred_and_monus_truncate_at_zero():
-    assert ev("pred 0") == NatVal(0)
-    assert ev("pred 5") == NatVal(4)
-    assert ev("monus 5 2") == NatVal(3)
-    assert ev("monus 2 5") == NatVal(0)
+    assert ev("pred 0") == 0
+    assert ev("pred 5") == 4
+    assert ev("monus 5 2") == 3
+    assert ev("monus 2 5") == 0
 
 
 def test_comparisons_return_booleans_as_naturals():
-    assert ev("isz 0") == NatVal(1)
-    assert ev("isz 3") == NatVal(0)
-    assert ev("le 2 2") == NatVal(1)
-    assert ev("le 3 2") == NatVal(0)
-    assert ev("lt 2 2") == NatVal(0)
-    assert ev("lt 1 2") == NatVal(1)
+    assert ev("isz 0") == 1
+    assert ev("isz 3") == 0
+    assert ev("le 2 2") == 1
+    assert ev("le 3 2") == 0
+    assert ev("lt 2 2") == 0
+    assert ev("lt 1 2") == 1
 
 
 def test_division():
-    assert ev("div_floor 10 4") == NatVal(2)
-    assert ev("div_ceil 10 4") == NatVal(3)
-    assert ev("div_ceil 8 4") == NatVal(2)
-    assert ev("div_ceil 0 4") == NatVal(0)
+    assert ev("div_floor 10 4") == 2
+    assert ev("div_ceil 10 4") == 3
+    assert ev("div_ceil 8 4") == 2
+    assert ev("div_ceil 0 4") == 0
 
 
 def test_block_arithmetic():
-    assert ev("blockSize") == NatVal(4)
-    assert ev("blockCount 10") == NatVal(3)
-    assert ev("blockCount 0") == NatVal(0)
-    assert ev("indexToBlock 9") == NatVal(2)
-    assert ev("indexOffset 9") == NatVal(1)
+    assert ev("blockSize") == 4
+    assert ev("blockCount 10") == 3
+    assert ev("blockCount 0") == 0
+    assert ev("indexToBlock 9") == 2
+    assert ev("indexOffset 9") == 1
 
 
 def test_block_size_override():
     env = prelude_env(block_size=8)
-    assert ev("blockSize", env) == NatVal(8)
-    assert ev("blockCount 10", env) == NatVal(2)
+    assert ev("blockSize", env) == 8
+    assert ev("blockCount 10", env) == 2
 
 
 def test_misc_helpers():
-    assert ev("half 9") == NatVal(4)
-    assert ev("pow2 5") == NatVal(32)
-    assert ev("odd 3") == NatVal(1)
-    assert ev("odd 4") == NatVal(0)
+    assert ev("half 9") == 4
+    assert ev("pow2 5") == 32
+    assert ev("odd 3") == 1
+    assert ev("odd 4") == 0
 
 
 def test_has_permission_checks_a_bit():
     # permission words are sums of powers of two; bit k set means granted
-    assert ev("hasPermission 7 0") == NatVal(1)
-    assert ev("hasPermission 7 2") == NatVal(1)
-    assert ev("hasPermission 4 0") == NatVal(0)
-    assert ev("hasPermission 4 2") == NatVal(1)
+    assert ev("hasPermission 7 0") == 1
+    assert ev("hasPermission 7 2") == 1
+    assert ev("hasPermission 4 0") == 0
+    assert ev("hasPermission 4 2") == 1
 
 
 def test_prelude_program_checks_clean():
@@ -119,4 +119,4 @@ def test_programs_share_the_prelude_parsed_once():
     shared = [a is b for a, b in zip(first.defs[:count], resized.defs)]
     names = [d.name.text for d in resized.defs]
     assert shared.count(False) == 1 and not shared[names.index("blockSize")]
-    assert ev("blockCount 10", prelude_env(8)) == NatVal(2)
+    assert ev("blockCount 10", prelude_env(8)) == 2

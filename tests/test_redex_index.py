@@ -3,7 +3,8 @@
 `reference_redexes` is the scheduler's definition spelled out the slow way:
 every sender x receiver pair, and a spawn for each replication whose
 unfolding, next to one real unfolding of every other replication, adds a
-comm on a channel that has none. On configurations taken along seeded runs
+comm on a channel that has none. Each unfolding also unfolds the
+replications it brings, in turn. On configurations taken along seeded runs
 and one branching step beyond, the index must count the same redexes, build
 the same i-th redex for every i and flag the same replication-budget cuts.
 The index `run` carries from step to step must equal a fresh one after
@@ -48,6 +49,17 @@ def reference_comms(config) -> list[Comm]:
     return sorted(comms, key=Comm.sort_key)
 
 
+def unfold(trial, member):
+    """`trial` after spawning `member`, and each replication that the
+    spawn brings, in turn."""
+    first = trial.next_pid
+    trial = step(trial, ReplSpawn(member, trial.step_count))
+    for new in trial.soup:
+        if new.pid >= first and isinstance(new.term, S.Repl):
+            trial = unfold(trial, new)
+    return trial
+
+
 def reference_redexes(config) -> tuple[list, bool]:
     """(enabled redexes in canonical order, whether a budget cut one)."""
     comms = reference_comms(config)
@@ -57,11 +69,11 @@ def reference_redexes(config) -> tuple[list, bool]:
     for member in repls:
         trial = config.clone()
         trial.trace = None
-        trial = step(trial, ReplSpawn(member, trial.step_count))
+        trial = unfold(trial, member)
         own = range(config.next_pid, trial.next_pid)
         for other in repls:
             if other.pid != member.pid:
-                trial = step(trial, ReplSpawn(other, trial.step_count))
+                trial = unfold(trial, other)
         if not any(
             (comm.sender.pid in own or comm.receiver.pid in own)
             and comm.send.chan.id not in enabled
