@@ -10,7 +10,14 @@ node's static scope is the parameter of its nearest enclosing `fun` and the
 `rec` binders between the two; those locals are read from a frame tuple at
 slots fixed at compile time (de Bruijn, 1972), and every other name from the
 env dict. A `fun` evaluated inside a frame copies the frame into its
-closure's env.
+closure's env; one outside any frame shares its env. A closure carries its
+body's code, compiled when the first closure of its `fun` is made.
+
+A `rec` unfolds exactly as often as its scrutinee says, so a succ branch
+that is a literal, a variable or `succ` of the rec binder has a closed form
+that ticks the unfoldings at once (fused operations, Proebsting's
+"superoperators", 1995). Value, fault and step count are the unfolding
+loop's.
 """
 
 from __future__ import annotations
@@ -22,14 +29,16 @@ from .diagnostics import DUMMY_SPAN, MlgError, Span
 from . import syntax as S
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Closure:
     """Equal only to itself, since an env dict cannot be hashed; the
-    explorer keys a closure by its structure."""
+    explorer keys a closure by its structure. `code` is the compiled body,
+    called as code(env, (arg,), store, fuel)."""
     param: S.Name
     param_type: S.CompType
     body: S.CompExpr
     env: "ValueEnv"
+    code: "Code" = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,10 @@ class Fuel:
         self.used = 0
 
     def tick(self, k: int = 1) -> None:
+        # running out leaves `used` where a step-by-step loop would stop
         self.used += k
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise FuelExhausted(
                 f"evaluation exceeded the {self.limit}-step budget"
             )
@@ -103,7 +114,7 @@ def eval_comp(
 ) -> EvalResult:
     """Evaluate `e`; `store` is only ever read (get), never written."""
     counter = fuel if fuel is not None else Fuel(10**9)
-    value = _code(e, None)(env, (), store, counter)
+    value = _code(e)(env, (), store, counter)
     return EvalResult(value, counter.used)
 
 
@@ -114,15 +125,14 @@ def eval_comp(
 
 Code = Callable[[ValueEnv, tuple, object, Fuel], Value]
 
-def _code(e: S.CompExpr, param: str | None) -> Code:
-    """The code of `e` as a whole expression (param None, empty frame) or as
-    the body of a function of `param` (frame `(arg,)`). It is compiled on
-    first use and kept on `e`, so it lives as long as the syntax tree."""
-    entry = e.__dict__.get("_code")
-    if entry is not None and entry[0] == param:
-        return entry[1]
-    code = _compile(e, () if param is None else (param,))
-    object.__setattr__(e, "_code", (param, code))
+def _code(e: S.CompExpr) -> Code:
+    """The code of `e` as a whole expression, called with an empty frame. It
+    is compiled on first use and kept on `e`, so it lives as long as the
+    syntax tree."""
+    code = e.__dict__.get("_code")
+    if code is None:
+        code = _compile(e, ())
+        object.__setattr__(e, "_code", code)
     return code
 
 
@@ -163,11 +173,17 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
 
     if isinstance(e, S.Lambda):
         param, param_type, body = e.param, e.param_type, e.body
+        body_code = None
 
         def lam(env, frame, store, fuel):
-            # later binders overwrite earlier ones: the innermost wins
-            return Closure(param, param_type, body,
-                           {**env, **dict(zip(scope, frame))})
+            nonlocal body_code
+            if body_code is None:
+                # compiled here, so nested funs compile one level at a time
+                body_code = _compile(body, (param.text,))
+            if scope:
+                # later binders overwrite earlier ones: the innermost wins
+                env = {**env, **dict(zip(scope, frame))}
+            return Closure(param, param_type, body, env, body_code)
         return lam
 
     if isinstance(e, S.App):
@@ -179,8 +195,10 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
             arg = arg_code(env, frame, store, fuel)
             if not isinstance(fn, Closure):
                 raise EvalFault("applying a non-function value")
-            fuel.tick()
-            return _code(fn.body, fn.param.text)(fn.env, (arg,), store, fuel)
+            fuel.used += 1
+            if fuel.used > fuel.limit:
+                fuel.tick(0)  # raises FuelExhausted
+            return fn.code(fn.env, (arg,), store, fuel)
         return app
 
     if isinstance(e, S.Rec):
@@ -197,15 +215,16 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
             # bottom-up unfolding: acc at i is the value of rec applied to i
             acc = zero_branch(env, frame, store, fuel)
             for i in range(scrut):
-                fuel.tick()
+                fuel.used += 1
+                if fuel.used > fuel.limit:
+                    fuel.tick(0)  # raises FuelExhausted
                 acc = succ_branch(env, frame + (i, acc), store, fuel)
             return acc
 
         def rec_of_var(env, frame, store, fuel):
-            # a branch that only reads a variable has one value at every
-            # unfolding after the first, so the unfoldings after the first
-            # are ticked at once, up to the one that runs out, and the
-            # branch is read once more
+            # a literal, or a variable other than the succ binder, has one
+            # value at every unfolding (the rec binder keeps the zero
+            # branch's), so it is read once and the other unfoldings ticked
             scrut = scrutinee(env, frame, store, fuel)
             if not isinstance(scrut, int):
                 raise EvalFault("rec scrutinee is not a natural")
@@ -213,12 +232,37 @@ def _compile(e: S.CompExpr, scope: tuple[str, ...]) -> Code:
             if scrut:
                 fuel.tick()
                 acc = succ_branch(env, frame + (0, acc), store, fuel)
-            if scrut > 1:
-                fuel.tick(min(scrut - 1, fuel.limit - fuel.used + 1))
-                acc = succ_branch(env, frame + (scrut - 1, acc), store, fuel)
+                fuel.tick(scrut - 1)
             return acc
 
-        return rec_of_var if isinstance(e.succ_branch, S.Var) else rec
+        def rec_pred(env, frame, store, fuel):
+            # `succ(k) ... -> k`: the last unfolding reads scrut - 1
+            scrut = scrutinee(env, frame, store, fuel)
+            if not isinstance(scrut, int):
+                raise EvalFault("rec scrutinee is not a natural")
+            acc = zero_branch(env, frame, store, fuel)
+            fuel.tick(scrut)
+            return scrut - 1 if scrut else acc
+
+        def rec_add(env, frame, store, fuel):
+            # `with r -> succ(r)`: each unfolding adds one
+            scrut = scrutinee(env, frame, store, fuel)
+            if not isinstance(scrut, int):
+                raise EvalFault("rec scrutinee is not a natural")
+            acc = zero_branch(env, frame, store, fuel)
+            if scrut and not isinstance(acc, int):
+                fuel.tick()
+                raise EvalFault("succ applied to a non-natural")
+            fuel.tick(scrut)
+            return acc + scrut if scrut else acc
+
+        # the rec binder is innermost: `r` is the rec binder even when the
+        # succ binder is also `r`
+        k, r = S.Var(e.succ_binder), S.Var(e.rec_binder)
+        return (rec_add if e.succ_branch == S.Succ(r)
+                else rec_pred if e.succ_branch == k != r
+                else rec_of_var if isinstance(e.succ_branch, (S.Var, S.NatLit))
+                else rec)
 
     if isinstance(e, S.FieldSel):
         subject_code = _compile(e.subject, scope)

@@ -34,16 +34,32 @@ class NatType:
         return "nat"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrowType:
+    """Compared, hashed and printed by a loop down the codomain spine."""
     domain: CompType
     codomain: CompType
 
+    def _spine(self) -> tuple[CompType, ...]:
+        """The domains down the codomain chain, then the last codomain."""
+        ty, spine = self, []
+        while isinstance(ty, ArrowType):
+            spine.append(ty.domain)
+            ty = ty.codomain
+        return (*spine, ty)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArrowType):
+            return NotImplemented
+        return self is other or self._spine() == other._spine()
+
+    def __hash__(self) -> int:
+        return hash(self._spine())
+
     def __str__(self) -> str:
-        dom = str(self.domain)
-        if isinstance(self.domain, ArrowType):
-            dom = f"({dom})"
-        return f"{dom} -> {self.codomain}"
+        # the last codomain is never an arrow: only domains get parentheses
+        return " -> ".join(f"({t})" if isinstance(t, ArrowType) else str(t)
+                           for t in self._spine())
 
 
 @dataclass(frozen=True)

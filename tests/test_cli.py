@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import demo_path
+from conftest import demo_path, demo_text
 from test_run_golden import HANDWRITTEN, UNCHECKED
 from test_run_inside_explore import CLOSURES_IN_OBJECTS, DEFINITION_SCOPE
 
@@ -519,6 +519,20 @@ def test_unchecked_runtime_fault_reported(capsys, tmp_path):
     code, out, err = invoke(capsys, "run", path, "--unchecked")
     assert code == 2
     assert "does not inhabit sort" in err
+
+
+def test_a_large_step_count_is_reported_exactly(capsys, tmp_path):
+    text = demo_text("filesystem.mlg").replace("write!(10)", "write!(100)")
+    code, out, err = invoke(capsys, "run", write(tmp_path, text))
+    assert (code, err) == (0, "")
+    assert "#2 comm reserve(25) pid6->pid3 eval=1765023" in out.splitlines()
+
+
+def test_a_payload_past_the_step_budget_is_a_diagnostic(capsys, tmp_path):
+    path = write(tmp_path, "chan c : nat\n"
+                           "system = c!(blockCount 1000) . 0 | c?(x) . 0\n")
+    assert invoke(capsys, "run", path) == (2, "", (
+        f"{path}:2:13: error: evaluation exceeded the 10000000-step budget\n"))
 
 
 def test_check_records_format_diagnostics(capsys, tmp_path):

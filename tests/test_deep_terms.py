@@ -1,4 +1,4 @@
-"""No process walker recurses once per operand or per action.
+"""No walker recurses once per operand, per action or per arrow.
 
 Every stage runs here on a 5,000-action chain, a 5,000-operand `|`, a
 5,000-operand `+`, two equal 5,000-action chains and two equal
@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from mlg.cli import main
 from mlg.engine import initial_configuration, run
 from mlg.explorer import canonicalize, explore
 from mlg.parser import parse_program
@@ -67,3 +68,38 @@ def test_walkers_need_no_recursion_per_operand_or_action(shape):
     assert printed == text.replace("c!(0)", "c!(z)")
     assert trace[-1].kind == verdict
     assert hash(graph.initial) == hash(state)
+
+
+def _arrows(n: int, send: bool) -> str:
+    """A channel of `n` nats chained by arrows, received alone or from a
+    payload of `n - 1` nested funs."""
+    text = "chan c : " + " -> ".join(["nat"] * n) + "\nsystem = "
+    if send:
+        text += "c!(" + "fun (x : nat) " * (n - 1) + "x) . 0 | "
+    return text + "c?(f) . 0\n"
+
+
+@pytest.mark.parametrize("command", ["check", "fmt", "run", "explore"])
+@pytest.mark.parametrize("send", [False, True], ids=["receive", "send"])
+@pytest.mark.parametrize("n", [400, 800])
+def test_long_arrow_chains_end_in_a_verdict(capsys, tmp_path, n, send,
+                                            command):
+    text = _arrows(n, send)
+    path = tmp_path / "arrows.mlg"
+    path.write_text(text, encoding="utf-8")
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert code == (3 if command in ("run", "explore") and not send else 0)
+    if command == "fmt":
+        assert out == text
+
+
+def test_nested_funs_are_compiled_one_level_per_closure(capsys, tmp_path):
+    path = tmp_path / "funs.mlg"
+    path.write_text("chan c : nat\nsystem = c!(" + "fun (x : nat) " * 800
+                    + "x) . 0 | c?(y) . 0\n", encoding="utf-8")
+    assert main(["run", "--unchecked", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}:2:13: error: payload <fun(x : nat)> does not inhabit sort "
+        "nat of channel 'c'\n")

@@ -17,7 +17,7 @@ from mlg import syntax as S
 from mlg.diagnostics import MlgError
 from mlg.engine import TERMINATED, run
 from mlg.evaluate import (
-    EMPTY_ENV, Closure, EvalFault, Fuel, ObjRef, eval_comp,
+    EMPTY_ENV, Closure, EvalFault, Fuel, ObjRef, _compile, eval_comp,
 )
 from mlg.parser import parse_comp_expr
 from mlg.prelude import load_program, prelude_program
@@ -39,7 +39,8 @@ def walk(env, store, e, fuel):
             raise EvalFault("succ applied to a non-natural")
         return inner + 1
     if isinstance(e, S.Lambda):
-        return Closure(e.param, e.param_type, e.body, env)
+        # the walker applies a closure by its body, never by its code
+        return Closure(e.param, e.param_type, e.body, env, None)
     if isinstance(e, S.App):
         fn = walk(env, store, e.fn, fuel)
         arg = walk(env, store, e.arg, fuel)
@@ -191,12 +192,52 @@ def test_every_fuel_limit_runs_out_on_the_same_tick(prelude_env, src):
     assert agree(prelude_env, None, e, steps)[0] == "value"
 
 
-@pytest.mark.parametrize("branch", ["k", "r", "x", "7", "ghost", "add k r"])
+@pytest.mark.parametrize("branch", ["k", "r", "x", "7", "ghost", "add k r",
+                                    "succ(r)", "succ(k)", "succ(x)", "0"])
 def test_recursors_whose_branch_reads_a_variable(prelude_env, branch):
+    for scrut in (0, 1, 6):
+        e = parse_comp_expr(f"(fun (x : nat) rec {scrut} "
+                            f"{{ z -> 9 | succ(k) with r -> {branch} }}) 4")
+        for limit in range(1, 40):
+            agree(prelude_env, None, e, limit)
+
+
+# `succ(r) with r -> …`, which the parser rejects: the rec binder wins
+R = S.Name("r")
+SHADOWED = {"r": S.Var(R), "succ(r)": S.Succ(S.Var(R))}
+
+
+@pytest.mark.parametrize("branch", sorted(SHADOWED))
+def test_the_rec_binder_shadows_the_succ_binder(branch):
+    for scrut in (0, 1, 6):
+        e = S.Rec(S.NatLit(scrut), S.NatLit(9), R, R, SHADOWED[branch])
+        for limit in range(1, 10):
+            agree(EMPTY_ENV, None, e, limit)
+
+
+def test_succ_of_a_function_faults_on_the_first_unfolding():
     e = parse_comp_expr(
-        f"(fun (x : nat) rec 6 {{ z -> 9 | succ(k) with r -> {branch} }}) 4")
-    for limit in range(1, 40):
-        agree(prelude_env, None, e, limit)
+        "rec 6 { z -> fun (y : nat) y | succ(k) with r -> succ(r) }")
+    for limit in (*range(1, 10), 10**7):
+        kind, _, message, used = agree(EMPTY_ENV, None, e, limit)
+        assert (kind, used) == ("fault", 1)
+        assert message.endswith("error: succ applied to a non-natural")
+
+
+@pytest.mark.parametrize("branch, form", [
+    ("r", "rec_of_var"), ("k", "rec_pred"), ("succ(r)", "rec_add"),
+    ("x", "rec_of_var"), ("ghost", "rec_of_var"), ("0", "rec_of_var"),
+    ("7", "rec_of_var"), ("succ(k)", "rec"), ("succ(x)", "rec"),
+    ("add k r", "rec"), ("shadowed r", "rec_of_var"),
+    ("shadowed succ(r)", "rec_add"),
+])
+def test_each_branch_shape_compiles_to_its_form(branch, form):
+    if branch.startswith("shadowed "):
+        e = S.Rec(S.NatLit(6), S.NatLit(9), R, R,
+                  SHADOWED[branch.removeprefix("shadowed ")])
+    else:
+        e = parse_comp_expr(f"rec 6 {{ z -> 9 | succ(k) with r -> {branch} }}")
+    assert _compile(e, ()).__name__ == form
 
 
 def test_faults_are_the_same():
