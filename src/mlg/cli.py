@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 
 from .diagnostics import MlgError
 from .engine import DEADLOCK, STEP_LIMIT, TERMINATED, render_trace, run
@@ -52,16 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mlg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, loads=True):
         p.add_argument("input", help="source file path, or - for stdin")
-        p.add_argument("--unchecked", action="store_true",
-                       help="skip static checking")
-        p.add_argument("--no-prelude", action="store_true",
-                       help="do not bring the prelude into scope")
-        p.add_argument("--no-repl", action="store_true",
-                       help="reject programs that use replication")
-        p.add_argument("--block-size", type=_positive, default=None,
-                       help="override the prelude's blockSize constant")
+        if loads:  # how a program is loaded before it is checked or run
+            p.add_argument("--unchecked", action="store_true",
+                           help="skip static checking")
+            p.add_argument("--no-prelude", action="store_true",
+                           help="do not bring the prelude into scope")
+            p.add_argument("--no-repl", action="store_true",
+                           help="reject programs that use replication")
+            p.add_argument("--block-size", type=_positive, default=None,
+                           help="override the prelude's blockSize constant")
         p.add_argument("--format", choices=["text", "records"],
                        default="text", dest="fmt")
 
@@ -85,25 +85,28 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(path, or - for stdout)")
 
     p_fmt = sub.add_parser("fmt", help="pretty-print a program")
-    common(p_fmt)
+    common(p_fmt, loads=False)
     return parser
 
 
 def _read_input(path: str) -> tuple[str, str]:
+    # bytes that are not UTF-8 are kept as lone surrogates, which the lexer
+    # reports as unexpected characters, and a comment may hold
     if path == "-":
-        return sys.stdin.read(), "<stdin>"
+        data = sys.stdin.buffer.read()
+        return data.decode("utf-8", "surrogateescape"), "<stdin>"
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             return handle.read(), path
     except OSError as exc:
         print(f"mlg: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
 
 
-def _load_checked(args, text: str, filename: str):
+def _load_checked(args, text: str):
     """Parse + check per the flags; returns (program, annotations)."""
     program = load_program(
-        text, filename,
+        text,
         include_prelude=not args.no_prelude,
         block_size=args.block_size,
     )
@@ -118,13 +121,13 @@ def _load_checked(args, text: str, filename: str):
     return program, annotations
 
 
-def cmd_check(args, text: str, filename: str) -> int:
-    _load_checked(args, text, filename)
+def cmd_check(args, text: str) -> int:
+    _load_checked(args, text)
     return EXIT_OK
 
 
-def cmd_run(args, text: str, filename: str) -> int:
-    program, annotations = _load_checked(args, text, filename)
+def cmd_run(args, text: str) -> int:
+    program, annotations = _load_checked(args, text)
     _, verdict, trace = run(
         program, seed=args.seed, max_steps=args.max_steps,
         annotations=annotations,
@@ -137,8 +140,8 @@ def cmd_run(args, text: str, filename: str) -> int:
     return EXIT_STEP_LIMIT
 
 
-def cmd_explore(args, text: str, filename: str) -> int:
-    program, annotations = _load_checked(args, text, filename)
+def cmd_explore(args, text: str) -> int:
+    program, annotations = _load_checked(args, text)
     graph = explore(
         program, max_depth=args.depth, max_states=args.states,
         repl_budget=args.repl_budget, annotations=annotations,
@@ -187,8 +190,8 @@ def cmd_explore(args, text: str, filename: str) -> int:
     return EXIT_BUDGET_CUT if cuts else EXIT_OK
 
 
-def cmd_fmt(args, text: str, filename: str) -> int:
-    sys.stdout.write(pretty_program(parse_program(text, filename)))
+def cmd_fmt(args, text: str) -> int:
+    sys.stdout.write(pretty_program(parse_program(text)))
     return EXIT_OK
 
 
@@ -205,14 +208,14 @@ def main(argv: list[str] | None = None) -> int:
         "fmt": cmd_fmt,
     }[args.command]
     try:
-        return handler(args, text, filename)
+        return handler(args, text)
     except MlgError as exc:
         # every fault in the input, static or at run time, is reported
-        # here, placed in its file
+        # here, placed in its file, line and column
         for diag in exc.diagnostics:
-            diag = replace(diag, filename=filename)
-            print(json.dumps(diag.to_record(), sort_keys=True)
-                  if args.fmt == "records" else diag.render(), file=sys.stderr)
+            print(json.dumps(diag.to_record(text, filename), sort_keys=True)
+                  if args.fmt == "records" else diag.render(text, filename),
+                  file=sys.stderr)
         return EXIT_CHECK
 
 

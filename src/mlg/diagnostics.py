@@ -2,46 +2,50 @@
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+
+# A span is the offset of the first character of the token that a node or a
+# diagnostic points at. Its line and column are worked out only when a
+# diagnostic is rendered, from the text it points into.
+Span = int
+
+DUMMY_SPAN = -1  # no token starts here; it renders at 1:1
 
 
-class Span(NamedTuple):
-    """Half-open character range into a source text, with 1-based line/col.
-    The parser builds one for each token that a node or a diagnostic points
-    at."""
-
-    start: int = 0
-    end: int = 0
-    line: int = 1
-    col: int = 1
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
+@lru_cache(maxsize=1)
+def _newlines(text: str) -> tuple[int, ...]:
+    """-1, then the offset of each newline in `text`: built once per text,
+    however many of its diagnostics are rendered."""
+    return (-1, *(match.start() for match in re.finditer("\n", text)))
 
 
-DUMMY_SPAN = Span()
+def line_col(text: str, offset: Span) -> tuple[int, int]:
+    """The 1-based line and column of `offset` in `text`."""
+    offset = max(offset, 0)  # DUMMY_SPAN is placed at the start
+    newlines = _newlines(text)
+    line = bisect_left(newlines, offset)
+    return line, offset - newlines[line - 1]
 
 
 @dataclass(frozen=True)
 class Diagnostic:
     message: str
     span: Span = DUMMY_SPAN
-    severity: str = "error"
-    filename: str = "<input>"
 
-    def render(self) -> str:
-        return (
-            f"{self.filename}:{self.span.line}:{self.span.col}: "
-            f"{self.severity}: {self.message}"
-        )
+    def render(self, text: str, filename: str) -> str:
+        line, col = line_col(text, self.span)
+        return f"{filename}:{line}:{col}: error: {self.message}"
 
-    def to_record(self) -> dict:
+    def to_record(self, text: str, filename: str) -> dict:
+        line, col = line_col(text, self.span)
         return {
-            "file": self.filename,
-            "line": self.span.line,
-            "col": self.span.col,
-            "severity": self.severity,
+            "file": filename,
+            "line": line,
+            "col": col,
+            "severity": "error",
             "message": self.message,
         }
 
@@ -57,4 +61,5 @@ class MlgError(Exception):
         elif isinstance(diagnostics, Diagnostic):
             diagnostics = [diagnostics]
         self.diagnostics = diagnostics
-        super().__init__("; ".join(d.render() for d in diagnostics))
+        # no text is known here to place them in
+        super().__init__("; ".join(d.message for d in diagnostics))

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from itertools import accumulate, compress, repeat
-from dataclasses import replace
-from operator import add
+from itertools import accumulate, compress
 
 from .diagnostics import Diagnostic, MlgError, Span
 from . import syntax as S
@@ -39,33 +36,20 @@ _FIRST_KIND = (dict.fromkeys("_abcdefghijklmnopqrstuvwxyz"
                | dict.fromkeys("0123456789", "number")
                | dict.fromkeys(" \t\r\n-", ""))
 
-_new_tuple = tuple.__new__
-
-
 class Tokens:
     """The tokens of one text, eof included, as parallel lists. A token's
-    kind is "ident", "number", a keyword, a symbol or "eof". Its `Span` is
-    built only when asked for, from its start offset and the offsets of the
-    text's newlines."""
+    kind is "ident", "number", a keyword, a symbol or "eof"; its start is
+    its offset in the text, which is also its span."""
 
-    __slots__ = ("kinds", "texts", "starts", "newlines")
+    __slots__ = ("kinds", "texts", "starts")
 
-    def __init__(self, kinds: list[str], texts: list[str], starts: list[int],
-                 newlines: list[int]):
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int]):
         self.kinds = kinds
         self.texts = texts
         self.starts = starts
-        self.newlines = newlines  # -1, then the offset of each newline
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def span(self, i: int) -> Span:
-        start = self.starts[i]
-        line = bisect_left(self.newlines, start)
-        # tuple.__new__ skips the Python-level __new__ of Span(...)
-        return _new_tuple(Span, (start, start + len(self.texts[i]), line,
-                                 start - self.newlines[line - 1]))
 
 
 def tokenize(text: str) -> Tokens:
@@ -76,16 +60,10 @@ def tokenize(text: str) -> Tokens:
     texts = [*compress(matches, kinds), ""]
     starts = [*compress(starts, kinds), len(text)]
     kinds = [*compress(kinds, kinds), "eof"]
-    lines = text.split("\n")
-    lines.pop()  # the text after the last newline
-    # each line's length and its newline, summed up from -1
-    newlines = list(accumulate(map(add, map(len, lines), repeat(1)),
-                               initial=-1))
-    tokens = Tokens(kinds, texts, starts, newlines)
     if "bad" in kinds:
         i = kinds.index("bad")
-        raise MlgError(f"unexpected character {texts[i]!r}", tokens.span(i))
-    return tokens
+        raise MlgError(f"unexpected character {texts[i]!r}", starts[i])
+    return Tokens(kinds, texts, starts)
 
 
 # Tokens that may begin a computation-core atom.
@@ -93,11 +71,10 @@ _ATOM_START = {"ident", "number", "z", "succ", "("}
 
 
 class Parser:
-    def __init__(self, text: str, filename: str = "<input>"):
-        self.filename = filename
+    def __init__(self, text: str):
         tokens = tokenize(text)
-        self.kinds, self.texts, self.span = (
-            tokens.kinds, tokens.texts, tokens.span)
+        self.kinds, self.texts, self.starts = (
+            tokens.kinds, tokens.texts, tokens.starts)
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.proc_refs: list[S.ProcRef] = []
@@ -122,20 +99,19 @@ class Parser:
         i = self.pos
         if self.kinds[i] != kind:
             raise MlgError(f"expected '{kind}', found '{self.found(i)}'",
-                           self.span(i))
+                           self.starts[i])
         if kind != "eof":
             self.pos = i + 1
         return i
 
     def error(self, message: str, span: Span | None = None):
-        self.diagnostics.append(
-            Diagnostic(message, span or self.span(self.pos),
-                       filename=self.filename)
-        )
+        if span is None:  # offset 0 is a span too
+            span = self.starts[self.pos]
+        self.diagnostics.append(Diagnostic(message, span))
 
     def name(self) -> S.Name:
         i = self.expect("ident")
-        return S.Name(self.texts[i], self.span(i))
+        return S.Name(self.texts[i], self.starts[i])
 
     # -- types and sorts ---------------------------------------------------
 
@@ -161,7 +137,7 @@ class Parser:
                                                    " in signature"))
         i = self.pos
         raise MlgError(f"expected a type, found '{self.texts[i]}'",
-                       self.span(i))
+                       self.starts[i])
 
     def parse_sort(self) -> S.Sort:
         if self.at("chan"):
@@ -177,7 +153,7 @@ class Parser:
     def parse_expr(self, allow_update: bool = False) -> S.CompExpr:
         kind = self.kinds[self.pos]
         if kind == "fun":
-            span = self.span(self.next())
+            span = self.starts[self.next()]
             self.expect("(")
             param = self.name()
             self.expect(":")
@@ -190,7 +166,7 @@ class Parser:
         return self.parse_app(allow_update)
 
     def parse_rec(self) -> S.CompExpr:
-        span = self.span(self.expect("rec"))
+        span = self.starts[self.expect("rec")]
         scrutinee = self.parse_app()
         self.expect("{")
         self.expect("z")
@@ -228,7 +204,7 @@ class Parser:
             if self.kinds[self.pos + 1] == "[":
                 if not allow_update:
                     raise MlgError("object update is not allowed here",
-                                   self.span(self.pos))
+                                   self.starts[self.pos])
                 self.next()  # .
                 updates = self.parse_field_list("<=", self.parse_expr, "")
                 return S.UpdateObject(expr, updates, expr.span)
@@ -242,19 +218,19 @@ class Parser:
         kind = self.kinds[i]
         if kind == "z":
             self.pos = i + 1
-            return S.NatLit(0, self.span(i))
+            return S.NatLit(0, self.starts[i])
         if kind == "number":
             self.pos = i + 1
-            return S.NatLit(int(self.texts[i]), self.span(i))
+            return S.NatLit(int(self.texts[i]), self.starts[i])
         if kind == "succ":
             self.pos = i + 1
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            return S.succ(arg, self.span(i))
+            return S.succ(arg, self.starts[i])
         if kind == "ident":
             self.pos = i + 1
-            span = self.span(i)
+            span = self.starts[i]
             return S.Var(S.Name(self.texts[i], span), span)
         if kind == "(":
             self.pos = i + 1
@@ -262,7 +238,7 @@ class Parser:
             self.expect(")")
             return expr
         raise MlgError(f"expected an expression, found '{self.found(i)}'",
-                       self.span(i))
+                       self.starts[i])
 
     def parse_field_list(self, sep: str, item, where: str) -> tuple:
         """`[ l <sep> item, ... ]`, each item parsed by `item()`, with a
@@ -289,7 +265,7 @@ class Parser:
 
     def parse_payload(self) -> S.Payload:
         if self.at("["):
-            span = self.span(self.pos)
+            span = self.starts[self.pos]
             fields = self.parse_field_list("=", self.parse_expr, "")
             return S.MakeObject(fields, span)
         return self.parse_expr(allow_update=True)
@@ -309,7 +285,7 @@ class Parser:
         term = self.parse_prefixed()
         if not self.at("+"):
             return term
-        plus_span, operands = self.span(self.pos), []
+        plus_span, operands = self.starts[self.pos], []
         while True:
             if isinstance(term, S.Sum):  # a parenthesized sum
                 operands.extend(term.operands)
@@ -343,13 +319,13 @@ class Parser:
             if self.texts[i] != "0":
                 raise MlgError(
                     f"expected a process, found number '{self.texts[i]}'",
-                    self.span(i),
+                    self.starts[i],
                 )
             self.next()
-            return S.Nil(self.span(i))
+            return S.Nil(self.starts[i])
         if kind == "!":
             self.next()
-            return S.Repl(self.parse_prefixed(), self.span(i))
+            return S.Repl(self.parse_prefixed(), self.starts[i])
         if kind == "new":
             self.next()
             chan = self.name()
@@ -357,7 +333,7 @@ class Parser:
             sort = self.parse_sort()
             self.expect("in")
             body = self.parse_proc()
-            return S.Restrict(chan, sort, body, self.span(i))
+            return S.Restrict(chan, sort, body, self.starts[i])
         if kind == "(":
             self.next()
             term = self.parse_proc()
@@ -369,10 +345,10 @@ class Parser:
             self.proc_refs.append(ref)
             return ref
         raise MlgError(f"expected a process, found '{self.found(i)}'",
-                       self.span(i))
+                       self.starts[i])
 
     def parse_action(self) -> S.ProcAction:
-        span = self.span(self.pos)
+        span = self.starts[self.pos]
         if self.at("["):
             self.next()
             left = self.parse_payload()
@@ -421,13 +397,14 @@ class Parser:
                 name = self.name()
                 declare(name)
                 self.expect("=")
-                items.append(S.DefDef(name, self.parse_expr(), self.span(i)))
+                items.append(S.DefDef(name, self.parse_expr(), self.starts[i]))
             elif kind == "chan":
                 self.next()
                 name = self.name()
                 declare(name)
                 self.expect(":")
-                items.append(S.ChanDecl(name, self.parse_sort(), self.span(i)))
+                sort = self.parse_sort()
+                items.append(S.ChanDecl(name, sort, self.starts[i]))
             elif kind == "proc":
                 self.next()
                 name = self.name()
@@ -435,58 +412,57 @@ class Parser:
                 self.expect("=")
                 body = self.parse_proc()
                 resolve_refs()
-                items.append(S.ProcDef(name, body, self.span(i)))
+                items.append(S.ProcDef(name, body, self.starts[i]))
                 proc_names.add(name.text)
             elif kind == "system":
                 self.next()
                 self.expect("=")
                 if entry is not None:
-                    self.error("duplicate 'system' entry", self.span(i))
+                    self.error("duplicate 'system' entry", self.starts[i])
                 entry = self.parse_proc()
                 resolve_refs()
             else:
                 raise MlgError(
                     f"expected a top-level item, found '{self.found(i)}'",
-                    self.span(i),
+                    self.starts[i],
                 )
         return S.Program(tuple(items), entry)
 
 
-def _run(text: str, filename: str, production) -> object:
+def _run(text: str, production) -> object:
     """Parse `text` with `production`, a `Parser` method."""
     diagnostics: list[Diagnostic] = []
     try:
-        parser = Parser(text, filename)  # lexing may fail too
+        parser = Parser(text)  # lexing may fail too
         diagnostics = parser.diagnostics
         try:
             result = production(parser)
         except RecursionError:  # the parser recurses once per nesting level
             raise MlgError("nesting too deep",
-                           parser.span(parser.pos)) from None
+                           parser.starts[parser.pos]) from None
         parser.expect("eof")
     except MlgError as exc:
-        diagnostics += [replace(d, filename=filename) for d in exc.diagnostics]
-        raise MlgError(diagnostics) from None
+        raise MlgError(diagnostics + exc.diagnostics) from None
     if diagnostics:
         raise MlgError(diagnostics)
     return result
 
 
-def parse_program(text: str, filename: str = "<input>") -> S.Program:
-    return _run(text, filename, Parser.parse_program)
+def parse_program(text: str) -> S.Program:
+    return _run(text, Parser.parse_program)
 
 
-def parse_comp_expr(text: str, filename: str = "<input>") -> S.CompExpr:
-    return _run(text, filename, Parser.parse_expr)
+def parse_comp_expr(text: str) -> S.CompExpr:
+    return _run(text, Parser.parse_expr)
 
 
-def parse_payload(text: str, filename: str = "<input>") -> S.Payload:
-    return _run(text, filename, Parser.parse_payload)
+def parse_payload(text: str) -> S.Payload:
+    return _run(text, Parser.parse_payload)
 
 
-def parse_proc_term(text: str, filename: str = "<input>") -> S.ProcTerm:
-    return _run(text, filename, Parser.parse_proc)
+def parse_proc_term(text: str) -> S.ProcTerm:
+    return _run(text, Parser.parse_proc)
 
 
-def parse_type(text: str, filename: str = "<input>") -> S.CompType:
-    return _run(text, filename, Parser.parse_type)
+def parse_type(text: str) -> S.CompType:
+    return _run(text, Parser.parse_type)

@@ -51,7 +51,7 @@ class PreludeDef:
 def _parsed_prelude() -> S.Program:
     """The prelude, parsed once per process. Every program shares its
     nodes, and with them the code compiled for them on first evaluation."""
-    return parse_program(prelude_source(), "<prelude>")
+    return parse_program(prelude_source())
 
 
 def prelude_program(block_size: int | None = None) -> S.Program:
@@ -96,12 +96,11 @@ def load_prelude(block_size: int | None = None) -> list[PreludeDef]:
 
 def load_program(
     text: str,
-    filename: str = "<input>",
     include_prelude: bool = True,
     block_size: int | None = None,
 ) -> S.Program:
     """Parse a program with the prelude definitions implicitly in scope."""
-    program = parse_program(text, filename)
+    program = parse_program(text)
     if not include_prelude:
         return program
     base = prelude_program(block_size)
@@ -114,7 +113,7 @@ def load_program(
             Diagnostic(
                 f"'{name}' is already defined by the prelude "
                 f"(pass --no-prelude to redefine it)",
-                name.span, filename=filename,
+                name.span,
             )
             for name in clashes
         ])

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diagnostics import MlgError
 from . import syntax as S
-from .evaluate import ChanRef, Closure, ObjRef
+from .evaluate import ChanRef, Closure, EvalFault, ObjRef
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,8 @@ def render_value(v) -> str:
 
 
 class ObjectStore:
-    """Object identifiers are monotonically allocated and never reused."""
+    """Object identifiers are monotonically allocated and never reused. A
+    fault is an `EvalFault`, placed at the payload that caused it."""
 
     def __init__(self):
         self.objects: dict[int, StoredObject] = {}
@@ -50,7 +50,7 @@ class ObjectStore:
               initial: dict[str, object]) -> ObjRef:
         if signature is not None:
             if set(initial) != set(signature.labels()):
-                raise MlgError(
+                raise EvalFault(
                     "allocation fields do not match object signature"
                 )
         obj = StoredObject(self.next_id, signature, dict(initial))
@@ -62,13 +62,13 @@ class ObjectStore:
     def _lookup(self, ref) -> StoredObject:
         obj = self.objects.get(ref.id)
         if obj is None:
-            raise MlgError(f"dangling object reference #{ref.id}")
+            raise EvalFault(f"dangling object reference #{ref.id}")
         return obj
 
     def get(self, ref, label: str):
         obj = self._lookup(ref)
         if label not in obj.fields:
-            raise MlgError(
+            raise EvalFault(
                 f"object #{ref.id} has no field '{label}'"
             )
         return obj.fields[label]
@@ -78,10 +78,10 @@ class ObjectStore:
         obj = self._lookup(ref)
         labels = [lab for lab, _ in writes]
         if len(set(labels)) != len(labels):
-            raise MlgError("duplicate labels in one update")
+            raise EvalFault("duplicate labels in one update")
         for lab in labels:
             if lab not in obj.fields:
-                raise MlgError(
+                raise EvalFault(
                     f"object #{ref.id} has no field '{lab}'"
                 )
         self.objects[obj.id] = replace(

@@ -322,7 +322,7 @@ class Program:
         terms = [d.body for d in self.proc_defs()]
         if self.entry is not None:
             terms.append(self.entry)
-        stack = sorted(terms, key=lambda t: t.span.start)[::-1]
+        stack = sorted(terms, key=lambda t: t.span)[::-1]
         while stack:
             p = stack.pop()
             if isinstance(p, Repl):

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,8 +11,10 @@ from conftest import demo_path, demo_text
 from test_run_golden import HANDWRITTEN, UNCHECKED
 from test_run_inside_explore import CLOSURES_IN_OBJECTS, DEFINITION_SCOPE
 
-from mlg import engine
-from mlg.cli import main
+import mlg
+from mlg import cli, engine
+from mlg.cli import build_parser, main
+from mlg.diagnostics import MlgError
 
 
 def invoke(capsys, *argv):
@@ -330,7 +337,7 @@ def test_fmt_idempotent(capsys):
     import io
 
     stdin = sys.stdin
-    sys.stdin = io.StringIO(once)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(once.encode()))
     try:
         code2, twice, _ = invoke(capsys, "fmt", "-")
     finally:
@@ -445,7 +452,8 @@ def test_parenthesized_arrow_domain_formats_and_runs(capsys, tmp_path):
 def test_stdin_input(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("system = 0\n"))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(b"system = 0\n")))
     code, out, err = invoke(capsys, "run", "-")
     assert code == 0
     assert out.strip().splitlines()[-1].endswith("terminated")
@@ -566,6 +574,19 @@ RUNTIME_FAULTS = {
                         "system = [[a = 1] = c] c!(1) . 0 | c?(y) . 0\n",
                         "2:11", "object creation/update is not allowed in "
                                 "a guard"),
+    # a fault in the object store is placed as any other
+    "store-payload": ("chan c : [a : nat]\nchan d : nat\n"
+                      "system = c!([a = 1]) . 0 | c?(o) . d!(o.b) . 0"
+                      " | d?(y) . 0\n",
+                      "3:39", "object #0 has no field 'b'"),
+    "store-guard": ("chan c : [a : nat]\nchan d : nat\n"
+                    "system = c!([a = 1]) . 0 | c?(o) . [o.b = 1] d!(1) . 0"
+                    " | d?(y) . 0\n",
+                    "3:37", "object #0 has no field 'b'"),
+    "store-update": ("chan c : [a : nat]\nchan d : [a : nat]\n"
+                     "system = c!([a = 1]) . 0 | c?(o) . d!(o.[b <= 1]) . 0"
+                     " | d?(y) . 0\n",
+                     "3:39", "object #0 has no field 'b'"),
 }
 
 
@@ -805,3 +826,82 @@ def test_too_deep_nesting_is_a_diagnostic(capsys, tmp_path, case, command,
         line, col = int(line), int(col)
     assert (line, message) == (3, "nesting too deep")
     assert text.splitlines()[line - 1][col - 1:].startswith(stops)
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_an_unlocated_diagnostic_is_placed_at_the_start(capsys, tmp_path,
+                                                        monkeypatch, fmt):
+    def fail(program):
+        raise MlgError("unlocated")
+
+    monkeypatch.setattr(cli, "check_program", fail)
+    path = write(tmp_path, "\n\nsystem = 0\n")
+    code, out, err = invoke(capsys, "check", path, "--format", fmt)
+    assert code == 2
+    if fmt == "records":
+        assert json.loads(err) == {"file": path, "line": 1, "col": 1,
+                                   "severity": "error",
+                                   "message": "unlocated"}
+    else:
+        assert err == f"{path}:1:1: error: unlocated\n"
+
+
+# bytes that are not UTF-8: (input, exit code, what is printed on stderr)
+NOT_UTF8 = {
+    "bad-byte": (b"system = 0 \xff", 2,
+                 "{file}:1:12: error: unexpected character '\\udcff'\n"),
+    "latin-1-comment": (b"-- caf\xe9\nsystem = 0\n", 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_bytes_that_are_not_utf8_end_in_a_verdict(capsys, tmp_path, case):
+    data, expected, diagnostic = NOT_UTF8[case]
+    path = tmp_path / "input.mlg"
+    path.write_bytes(data)
+    code, out, err = invoke(capsys, "check", str(path))
+    assert (code, err) == (expected, diagnostic.format(file=path))
+
+
+@pytest.mark.parametrize("encoding", ["utf-8:strict", "ascii", "latin-1"])
+@pytest.mark.parametrize("case", sorted(NOT_UTF8))
+def test_stdin_is_read_as_utf8_whatever_the_locale(case, encoding):
+    data, expected, diagnostic = NOT_UTF8[case]
+    env = {**os.environ, "PYTHONPATH": str(Path(mlg.__file__).parent.parent),
+           "PYTHONIOENCODING": encoding}
+    done = subprocess.run([sys.executable, "-m", "mlg", "check", "-"],
+                          input=data, env=env, capture_output=True)
+    assert (done.returncode, done.stderr.decode()) == (
+        expected, diagnostic.format(file="<stdin>"))
+
+
+# each subcommand's options, written out: a new option fails until the table
+# lists it. `fmt` only prints what it parses, so it takes no loading flag.
+LOADING = {"--unchecked", "--no-prelude", "--no-repl", "--block-size"}
+OPTIONS = {
+    "check": {"input", "--format", *LOADING},
+    "run": {"input", "--format", *LOADING, "--seed", "--max-steps"},
+    "explore": {"input", "--format", *LOADING, "--depth", "--states",
+                "--repl-budget", "--dot"},
+    "fmt": {"input", "--format"},
+}
+
+
+def test_table_lists_every_option():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {
+        name: {max(action.option_strings, default=action.dest)
+               for action in parser._actions
+               if not isinstance(action, argparse._HelpAction)}
+        for name, parser in sub.choices.items()
+    }
+    assert options == OPTIONS
+
+
+@pytest.mark.parametrize("flag", sorted(LOADING))
+def test_fmt_rejects_the_loading_flags(capsys, flag):
+    argv = [flag, "4"] if flag == "--block-size" else [flag]
+    code, out, err = invoke(capsys, "fmt", str(demo_path("race.mlg")), *argv)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {' '.join(argv)}" in err

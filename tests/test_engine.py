@@ -19,7 +19,7 @@ from mlg.typecheck import check_program
 def load(src, prelude=False):
     program = load_program(src, include_prelude=prelude)
     result = check_program(program)
-    assert result.ok, [d.render() for d in result.diagnostics]
+    assert result.ok, [d.render(src, "<input>") for d in result.diagnostics]
     return program, result.obj_annotations
 
 
@@ -173,14 +173,12 @@ def test_replication_without_partner_stays_quiet():
 def test_replication_with_faulting_guard_faults():
     # unchecked: the guard compares a natural with a channel. Its unfolding
     # faults as the guard would after a spawn, at the guard's span
-    program = load_program(
-        "chan c : nat\n"
-        "system = !([1 = c] c!(0) . 0) | !c?(x) . 0 | c!(5) . 0\n",
-        include_prelude=False,
-    )
+    text = ("chan c : nat\n"
+            "system = !([1 = c] c!(0) . 0) | !c?(x) . 0 | c!(5) . 0\n")
+    program = load_program(text, include_prelude=False)
     with pytest.raises(EvalFault) as caught:
         run(program)
-    assert caught.value.diagnostics[0].render() == (
+    assert caught.value.diagnostics[0].render(text, "<input>") == (
         "<input>:2:12: error: match on incomparable values")
 
 

@@ -82,6 +82,12 @@ def test_unbound_variable_faults():
         run("ghost")
 
 
+def test_a_fault_keeps_its_first_location():
+    # offset 0 is a location like any other, not the unlocated sentinel
+    assert EvalFault("x").at(0).at(5).diagnostics[0].span == 0
+    assert EvalFault("x").at(5).at(0).diagnostics[0].span == 5
+
+
 def test_fuel_limit_must_be_positive():
     with pytest.raises(ValueError):
         Fuel(0)

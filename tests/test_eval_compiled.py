@@ -221,7 +221,7 @@ def test_succ_of_a_function_faults_on_the_first_unfolding():
     for limit in (*range(1, 10), 10**7):
         kind, _, message, used = agree(EMPTY_ENV, None, e, limit)
         assert (kind, used) == ("fault", 1)
-        assert message.endswith("error: succ applied to a non-natural")
+        assert message == "succ applied to a non-natural"
 
 
 @pytest.mark.parametrize("branch, form", [

@@ -118,7 +118,7 @@ TERMGEN_SEEDS = range(10000)
 def _checked(text: str, prelude: bool = True):
     program = load_program(text, include_prelude=prelude)
     result = check_program(program)
-    assert result.ok, [d.render() for d in result.diagnostics]
+    assert result.ok, [d.render(text, "<input>") for d in result.diagnostics]
     return program, result.obj_annotations
 
 

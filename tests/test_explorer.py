@@ -21,7 +21,7 @@ from termgen import gen_proc, proc_program
 def load(src, prelude=False):
     program = load_program(src, include_prelude=prelude)
     result = check_program(program)
-    assert result.ok, [d.render() for d in result.diagnostics]
+    assert result.ok, [d.render(src, "<input>") for d in result.diagnostics]
     return program, result.obj_annotations
 
 

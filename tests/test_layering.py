@@ -26,7 +26,7 @@ ALLOWED = {
     "pretty": {"syntax"},
     "typecheck": {"diagnostics", "syntax"},
     "evaluate": {"diagnostics", "syntax"},
-    "store": {"diagnostics", "syntax", "evaluate"},
+    "store": {"syntax", "evaluate"},
     "engine": {"diagnostics", "syntax", "evaluate", "store"},
     "explorer": {"syntax", "evaluate", "engine"},
     "prelude": {"diagnostics", "syntax", "parser", "pretty", "typecheck"},

@@ -3,8 +3,10 @@
 `char_tokenize` below is that lexer, kept only as the reference: it moves
 through the text one character at a time and counts lines and columns as it
 goes. Both must give the same (kind, text, start, end, line, col) tuples,
-the eof token included, and every span the parser puts on a node must be
-that of the reference token it starts at.
+the eof token included, where the regex lexer's end is its start plus the
+length of its text and its line and column are `line_col` of its start.
+Every offset the parser puts on a node must be the start of a reference
+token of a kind the grammar allows there.
 """
 
 import dataclasses
@@ -16,7 +18,7 @@ import pytest
 from conftest import DEMOS
 
 from mlg import syntax as S
-from mlg.diagnostics import DUMMY_SPAN, MlgError
+from mlg.diagnostics import DUMMY_SPAN, MlgError, line_col
 from mlg.parser import KEYWORDS, parse_program, tokenize
 from mlg.prelude import prelude_source
 from mlg.pretty import pretty_expr, pretty_program
@@ -80,13 +82,15 @@ def char_tokenize(text):
     return tokens
 
 
-def flat(tokens):
-    return [(kind, text, *tokens.span(i))
-            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
+def flat(source):
+    tokens = tokenize(source)
+    return [(kind, text, start, start + len(text), *line_col(source, start))
+            for kind, text, start in zip(tokens.kinds, tokens.texts,
+                                         tokens.starts)]
 
 
 def assert_same_tokens(text):
-    assert flat(tokenize(text)) == char_tokenize(text)
+    assert flat(text) == char_tokenize(text)
 
 
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.mlg")),
@@ -107,7 +111,7 @@ def test_generated_program_tokens_match_char_lexer():
 
 
 def spanned_nodes(node):
-    """Every node under `node` that the parser gave a span."""
+    """Every node under `node` that the parser gave an offset."""
     stack, found = [node], []
     while stack:
         node = stack.pop()
@@ -121,7 +125,7 @@ def spanned_nodes(node):
     return found
 
 
-# the kinds of token a node's span may start at, where the grammar fixes them
+# the kinds of token a node's offset may start, where the grammar fixes them
 STARTS = {
     S.Name: {"ident"}, S.Var: {"ident"}, S.ProcRef: {"ident"},
     S.NatLit: {"number", "z", "succ"}, S.Succ: {"succ"},
@@ -134,13 +138,12 @@ STARTS = {
 
 
 def assert_spans_are_tokens(text):
-    tokens = {start: (kind, (start, end, line, col))
-              for kind, _, start, end, line, col in char_tokenize(text)}
+    kinds = {start: kind for kind, _, start, *_ in char_tokenize(text)}
     nodes = spanned_nodes(parse_program(text))
     assert nodes
     for node in nodes:
-        kind, span = tokens[node.span.start]
-        assert tuple(node.span) == span, node
+        assert node.span in kinds, node
+        kind = kinds[node.span]
         assert kind in STARTS.get(type(node), {kind}), node
 
 
@@ -177,14 +180,17 @@ def test_hand_cases_match_char_lexer(text):
 
 
 def test_unexpected_character_is_located_on_its_line():
+    text = "def a = z\n  -1\n"
     with pytest.raises(MlgError) as exc:
-        parse_program("def a = z\n  -1\n", "f.mlg")
-    assert exc.value.diagnostics[-1].render() == (
+        parse_program(text)
+    assert exc.value.diagnostics[-1].render(text, "f.mlg") == (
         "f.mlg:2:3: error: unexpected character '-'")
 
 
 def test_literal_nodes_keep_their_spans():
     text = "def a = succ(41)\ndef b = 1000000\n"
-    a, b = (d.body for d in parse_program(text).comp_defs())
-    assert a == S.NatLit(42) and text[a.span.start:a.span.end] == "succ"
-    assert b == S.NatLit(10**6) and (b.span.line, b.span.col) == (2, 9)
+    defs = parse_program(text).comp_defs()
+    assert defs[0].span == 0  # the first token's offset is a span too
+    a, b = (d.body for d in defs)
+    assert a == S.NatLit(42) and text.startswith("succ", a.span)
+    assert b == S.NatLit(10**6) and line_col(text, b.span) == (2, 9)

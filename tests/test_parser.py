@@ -66,11 +66,12 @@ def test_bare_identifier_payload_is_name():
 
 
 def test_duplicate_label_rejected_with_span():
+    text = "[a = z, a = z]"
     with pytest.raises(MlgError) as exc:
-        parse_payload("[a = z, a = z]")
+        parse_payload(text)
     diag = exc.value.diagnostics[0]
     assert "duplicate field label" in diag.message
-    assert diag.span.col > 1
+    assert diag.span == text.rindex("a")
 
 
 def test_duplicate_definition_rejected():
@@ -96,7 +97,15 @@ def test_unguarded_sum_operand_reported_once_at_its_span():
     with pytest.raises(MlgError) as exc:
         parse_proc_term(text)
     diags = [d for d in exc.value.diagnostics if "unguarded sum" in d.message]
-    assert [d.span.col for d in diags] == [text.index("b!") + 1]
+    assert [d.span for d in diags] == [text.index("b!")]
+
+
+def test_an_unguarded_operand_at_offset_0_is_reported_there():
+    # offset 0 is a span like any other, not a missing one
+    with pytest.raises(MlgError) as exc:
+        parse_proc_term("!a!(1) . 0 + b!(1) . 0")
+    assert [(d.message, d.span) for d in exc.value.diagnostics] == [
+        ("unguarded sum operand", 0)]
 
 
 def test_sums_are_flat():
@@ -149,7 +158,7 @@ def test_spans_point_into_input():
     body = program.comp_defs()[0].body
     assert isinstance(body, S.Succ)
     var = body.arg
-    assert text[var.span.start:var.span.end] == "w"
+    assert var.span == text.index("w")
 
 
 def test_diagnostic_spans_inside_text():
@@ -157,7 +166,7 @@ def test_diagnostic_spans_inside_text():
     with pytest.raises(MlgError) as exc:
         parse_program(text)
     diag = exc.value.diagnostics[0]
-    assert 0 <= diag.span.start <= len(text)
+    assert 0 <= diag.span <= len(text)
 
 
 def test_restriction_and_replication_roundtrip():

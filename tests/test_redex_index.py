@@ -116,7 +116,7 @@ def walk(config, seed: int, steps: int) -> None:
 def _checked(text: str):
     program = load_program(text, include_prelude=False)
     result = check_program(program)
-    assert result.ok, [d.render() for d in result.diagnostics]
+    assert result.ok, [d.render(text, "<input>") for d in result.diagnostics]
     return program, result.obj_annotations
 
 

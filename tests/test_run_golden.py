@@ -166,12 +166,14 @@ def service_text(seed: int, requests: list) -> str:
 def _checked(text: str):
     program = load_program(text)
     result = check_program(program)
-    assert result.ok, [d.render() for d in result.diagnostics]
+    assert result.ok, [d.render(text, "<input>") for d in result.diagnostics]
     return program, result.obj_annotations
 
 
 def _case(name: str):
-    """(program, annotations, run seed, max steps) for a case name."""
+    """(source text, program, annotations, run seed, max steps) for a case
+    name. A generated term is built as syntax: its text is empty, and its
+    nodes have no offsets into one."""
     kind, _, rest = name.partition("/")
     what, _, seed = rest.rpartition("/seed=")
     seed, max_steps = int(seed), 10**5
@@ -180,15 +182,15 @@ def _case(name: str):
     elif kind == "hand":
         text, max_steps = HANDWRITTEN[what]
         if what in UNCHECKED:
-            return load_program(text), {}, seed, max_steps
+            return text, load_program(text), {}, seed, max_steps
     elif kind == "wide":
         text = wide_text(seed, *json.loads(what))
     elif kind == "service":
         text = service_text(seed, json.loads(what))
     else:
         term = gen_proc(random.Random(int(what)), depth=5)
-        return proc_program(term), {}, seed, max_steps
-    return (*_checked(text), seed, max_steps)
+        return "", proc_program(term), {}, seed, max_steps
+    return (text, *_checked(text), seed, max_steps)
 
 
 def _candidate_names() -> list[str]:
@@ -204,12 +206,13 @@ def _candidate_names() -> list[str]:
 
 
 def summary(name: str) -> dict:
-    program, annotations, seed, max_steps = _case(name)
+    source, program, annotations, seed, max_steps = _case(name)
     try:
         config, verdict, trace = run(program, seed=seed, max_steps=max_steps,
                                      annotations=annotations)
     except EvalFault as exc:
-        return {"fault": str(exc)}
+        return {"fault": "; ".join(d.render(source, "<input>")
+                                   for d in exc.diagnostics)}
     text = render_trace(trace, "text")
     return {
         "verdict": verdict,

@@ -1,8 +1,7 @@
 import pytest
 
 from mlg import syntax as S
-from mlg.diagnostics import MlgError
-from mlg.evaluate import ObjRef
+from mlg.evaluate import EvalFault, ObjRef
 from mlg.store import ObjectStore
 
 SIG = S.ObjType((
@@ -42,19 +41,19 @@ def test_get_reads_fields():
 def test_get_unknown_field_faults():
     store = ObjectStore()
     ref = fresh_file(store)
-    with pytest.raises(MlgError):
+    with pytest.raises(EvalFault):
         store.get(ref, "owner")
 
 
 def test_dangling_reference_faults():
     store = ObjectStore()
-    with pytest.raises(MlgError):
+    with pytest.raises(EvalFault):
         store.get(ObjRef(99), "size")
 
 
 def test_alloc_must_match_signature():
     store = ObjectStore()
-    with pytest.raises(MlgError):
+    with pytest.raises(EvalFault):
         store.alloc(SIG, {"size": 0})
 
 
@@ -88,7 +87,7 @@ def test_update_preserves_identity():
 def test_update_unknown_field_rejected_before_any_write():
     store = ObjectStore()
     ref = fresh_file(store)
-    with pytest.raises(MlgError):
+    with pytest.raises(EvalFault):
         store.update(ref, [("size", 3), ("owner", 1)])
     # the transaction failed as a whole: no partial write, no version bump
     assert store.get(ref, "size") == 0
@@ -98,7 +97,7 @@ def test_update_unknown_field_rejected_before_any_write():
 def test_update_duplicate_label_rejected():
     store = ObjectStore()
     ref = fresh_file(store)
-    with pytest.raises(MlgError):
+    with pytest.raises(EvalFault):
         store.update(ref, [("size", 1), ("size", 2)])
 
 
