@@ -9,13 +9,12 @@ Exit codes are part of the stable interface:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from collections import Counter
 
 from .diagnostics import MlgError
-from .engine import DEADLOCK, STEP_LIMIT, TERMINATED, render_trace, run
-from .explorer import explore, find_deadlocks
 from .parser import parse_program
 from .prelude import load_program
 from .pretty import pretty_program
@@ -91,10 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_input(path: str) -> tuple[str, str]:
     # bytes that are not UTF-8 are kept as lone surrogates, which the lexer
-    # reports as unexpected characters, and a comment may hold
+    # reports as unexpected characters, and a comment may hold; stdin is
+    # decoded as a file is, "\r\n" and a bare "\r" read as "\n"
     if path == "-":
-        data = sys.stdin.buffer.read()
-        return data.decode("utf-8", "surrogateescape"), "<stdin>"
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
+                                 errors="surrogateescape")
+        text = stdin.read()
+        stdin.detach()  # so that closing the wrapper leaves stdin open
+        return text, "<stdin>"
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             return handle.read(), path
@@ -127,6 +130,10 @@ def cmd_check(args, text: str) -> int:
 
 
 def cmd_run(args, text: str) -> int:
+    # the runtime is imported here and in cmd_explore, so that `check` and
+    # `fmt` do not load it
+    from .engine import DEADLOCK, TERMINATED, render_trace, run
+
     program, annotations = _load_checked(args, text)
     _, verdict, trace = run(
         program, seed=args.seed, max_steps=args.max_steps,
@@ -141,6 +148,8 @@ def cmd_run(args, text: str) -> int:
 
 
 def cmd_explore(args, text: str) -> int:
+    from .explorer import explore, find_deadlocks
+
     program, annotations = _load_checked(args, text)
     graph = explore(
         program, max_depth=args.depth, max_states=args.states,

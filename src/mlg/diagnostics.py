@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 
 # A span is the offset of the first character of the token that a node or a
@@ -30,10 +29,29 @@ def line_col(text: str, offset: Span) -> tuple[int, int]:
     return line, offset - newlines[line - 1]
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    message: str
-    span: Span = DUMMY_SPAN
+    """A message placed at an offset; equal to a diagnostic with the same
+    message at the same place, and immutable."""
+
+    __slots__ = ("message", "span")
+
+    def __init__(self, message: str, span: Span = DUMMY_SPAN):
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "span", span)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.message, self.span) == (other.message, other.span)
+
+    def __hash__(self) -> int:
+        return hash((self.message, self.span))
+
+    def __repr__(self) -> str:
+        return f"Diagnostic(message={self.message!r}, span={self.span!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
 
     def render(self, text: str, filename: str) -> str:
         line, col = line_col(text, self.span)

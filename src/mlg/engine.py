@@ -20,7 +20,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
 
 from .diagnostics import MlgError, Span
 from . import syntax as S
@@ -31,29 +30,33 @@ from .evaluate import (
 from .store import ObjectStore, render_value
 
 DEFAULT_FUEL = 10**7
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
 # Configuration pieces
 
 
-@dataclass(frozen=True)
-class SoupMember:
-    pid: int
-    term: S.ProcTerm  # normalized: Prefix, Sum or Repl
-    env: ValueEnv
-    repl_budget: int | None = None  # only meaningful for Repl members
+class SoupMember(S.Node):
+    def __init__(self, pid: int, term: S.ProcTerm, env: ValueEnv,
+                 repl_budget: int | None = None):
+        _set(self, "pid", pid)
+        _set(self, "term", term)  # normalized: Prefix, Sum or Repl
+        _set(self, "env", env)
+        _set(self, "repl_budget", repl_budget)  # only for Repl members
 
 
-@dataclass
 class TraceEvent:
-    kind: str  # comm, spawn, update, deadlock, terminated, step-limit
-    step: int
-    pids: tuple[int, ...] = ()
-    chan: str = ""
-    payload: str = ""
-    store_delta: tuple[str, ...] = ()
-    detail: str = ""
+    def __init__(self, kind: str, step: int, pids: tuple[int, ...] = (),
+                 chan: str = "", payload: str = "",
+                 store_delta: tuple[str, ...] = (), detail: str = ""):
+        self.kind = kind  # comm spawn update deadlock terminated step-limit
+        self.step = step
+        self.pids = pids
+        self.chan = chan
+        self.payload = payload
+        self.store_delta = store_delta
+        self.detail = detail
 
     def render(self) -> str:
         parts = [f"#{self.step}", self.kind]
@@ -72,30 +75,31 @@ class TraceEvent:
         return " ".join(parts)
 
     def to_record(self) -> dict:
-        record = asdict(self)
-        record["storeDelta"] = record.pop("store_delta")
-        return record
+        return {"kind": self.kind, "step": self.step, "pids": self.pids,
+                "chan": self.chan, "payload": self.payload,
+                "storeDelta": self.store_delta, "detail": self.detail}
 
 
-@dataclass
 class Configuration:
-    soup: list[SoupMember]  # in pid order
-    store: ObjectStore
-    step_count: int = 0  # redexes carry it too: a stale one is refused
-    # an append-only log that clone shares, so step appends to its input's
-    # trace too; callers that step one configuration more than once set it
-    # to None, which keeps no trace
-    trace: list[TraceEvent] | None = field(default_factory=list)
-    next_pid: int = 0
-    next_chan: int = 0
-    # plumbing shared by all configurations of one run
-    annotations: dict[int, S.ObjType] = field(default_factory=dict)
-    proc_defs: dict[str, tuple] = field(default_factory=dict)  # (body, env)
-    default_repl_budget: int | None = None
-    budget_cut: bool = False  # a spawn was suppressed by the repl budget
-    # the explorer's canonical-key cache, shared like proc_defs: term ids
-    # to their member keys, plus interned key tuples
-    canon_cache: dict = field(default_factory=dict)
+    def __init__(self, soup: list[SoupMember], store: ObjectStore,
+                 annotations: dict[int, S.ObjType],
+                 default_repl_budget: int | None):
+        self.soup = soup  # in pid order
+        self.store = store
+        self.step_count = 0  # redexes carry it too: a stale one is refused
+        # append-only and shared by clones, so step appends to its input's
+        # trace too; a caller that steps one configuration twice sets None
+        self.trace: list[TraceEvent] | None = []
+        self.next_pid = 0
+        self.next_chan = 0
+        # plumbing shared by all configurations of one run
+        self.annotations = annotations
+        self.proc_defs: dict[str, tuple] = {}  # (body, env)
+        self.default_repl_budget = default_repl_budget
+        self.budget_cut = False  # a spawn was suppressed by the repl budget
+        # the explorer's canonical-key cache, shared like proc_defs: term
+        # ids to their member keys, plus interned key tuples
+        self.canon_cache: dict = {}
 
     def clone(self) -> "Configuration":
         """A copy that shares every field but its own soup list and store,
@@ -112,31 +116,33 @@ class Configuration:
 # Redexes
 
 
-@dataclass(frozen=True)
-class Offer:
-    path: tuple[int, ...]  # () for a prefix, (i,) for operand i
-    action: S.ProcAction  # Send or Receive (guards already passed)
-    chan: ChanRef
-    continuation: S.ProcTerm
+class Offer(S.Node):
+    def __init__(self, path: tuple[int, ...], action: S.ProcAction,
+                 chan: ChanRef, continuation: S.ProcTerm):
+        _set(self, "path", path)  # () for a prefix, (i,) for operand i
+        _set(self, "action", action)  # Send or Receive, guards passed
+        _set(self, "chan", chan)
+        _set(self, "continuation", continuation)
 
 
-@dataclass(frozen=True)
-class Comm:
-    sender: SoupMember
-    send: Offer
-    receiver: SoupMember
-    receive: Offer
-    step_count: int
+class Comm(S.Node):
+    def __init__(self, sender: SoupMember, send: Offer,
+                 receiver: SoupMember, receive: Offer, step_count: int):
+        _set(self, "sender", sender)
+        _set(self, "send", send)
+        _set(self, "receiver", receiver)
+        _set(self, "receive", receive)
+        _set(self, "step_count", step_count)
 
     def sort_key(self):
         return (0, self.sender.pid, self.receiver.pid, self.send.path,
                 self.receive.path, self.send.chan.id)
 
 
-@dataclass(frozen=True)
-class ReplSpawn:
-    member: SoupMember
-    step_count: int
+class ReplSpawn(S.Node):
+    def __init__(self, member: SoupMember, step_count: int):
+        _set(self, "member", member)
+        _set(self, "step_count", step_count)
 
 
 Redex = Comm | ReplSpawn
@@ -241,10 +247,8 @@ def initial_configuration(
     repl_budget: int | None = None,
 ) -> Configuration:
     """Evaluate definitions, allocate global channels, normalize the entry."""
-    config = Configuration(
-        soup=[], store=ObjectStore(),
-        annotations=annotations or {}, default_repl_budget=repl_budget,
-    )
+    config = Configuration([], ObjectStore(), annotations or {},
+                           repl_budget)
     env = EMPTY_ENV
     for item in program.defs:
         if isinstance(item, S.DefDef):
@@ -316,8 +320,7 @@ def _guarded(term: S.ProcTerm) -> bool:
     return isinstance(term, S.Prefix) and isinstance(term.action, S.Match)
 
 
-@dataclass(frozen=True)
-class Unfolding:
+class Unfolding(S.Node):
     """What one unfolding of a replication, with the replications it
     brings unfolded in turn, would offer if it spawned now.
 
@@ -326,8 +329,10 @@ class Unfolding:
     could talk to each other, with None for a channel the unfolding itself
     restricts: such a channel is private to that one unfolding.
     """
-    offers: frozenset[tuple[int, bool]] = frozenset()
-    talks: frozenset[int | None] = frozenset()
+
+    def __init__(self, offers: frozenset, talks: frozenset):
+        _set(self, "offers", offers)
+        _set(self, "talks", talks)
 
 
 def _unfolding(config: Configuration,
@@ -561,8 +566,8 @@ def step(config: Configuration, redex: Redex) -> Configuration:
         if idx is None:
             raise MlgError("stale redex: replication no longer present")
         if member.repl_budget is not None:
-            new.soup[idx] = replace(member,
-                                    repl_budget=member.repl_budget - 1)
+            new.soup[idx] = SoupMember(member.pid, member.term, member.env,
+                                       member.repl_budget - 1)
         first_new_pid = new.next_pid
         insert_term(new, member.term.body, member.env)
         if new.trace is not None:

@@ -22,39 +22,54 @@ loop's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .diagnostics import DUMMY_SPAN, MlgError, Span
+from .diagnostics import DUMMY_SPAN, Diagnostic, MlgError, Span
 from . import syntax as S
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Closure:
+
+class Closure(S.Node):
     """Equal only to itself, since an env dict cannot be hashed; the
     explorer keys a closure by its structure. `code` is the compiled body,
     called as code(env, (arg,), store, fuel)."""
-    param: S.Name
-    param_type: S.CompType
-    body: S.CompExpr
-    env: "ValueEnv"
-    code: "Code" = field(compare=False, repr=False)
+
+    __slots__ = ("param", "param_type", "body", "env", "code")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, param: S.Name, param_type: S.CompType,
+                 body: S.CompExpr, env: "ValueEnv", code: "Code"):
+        _set(self, "param", param)
+        _set(self, "param_type", param_type)
+        _set(self, "body", body)
+        _set(self, "env", env)
+        _set(self, "code", code)
 
 
-@dataclass(frozen=True)
-class ObjRef:
-    id: int
+class ObjRef(S.Node):
+    def __init__(self, id: int):
+        _set(self, "id", id)
 
 
-@dataclass(frozen=True)
-class ChanRef:
+class ChanRef(S.Node):
     """A channel, the only record of it: a declaration or a restriction
     makes one, and a communication can pass it on. Refs are equal when
     their ids and sorts are; the hash is the id alone."""
-    id: int
-    sort: S.Sort = field(hash=False)
-    name: str = field(compare=False)
-    restricted: bool = field(compare=False)
+
+    def __init__(self, id: int, sort: S.Sort, name: str, restricted: bool):
+        _set(self, "id", id)
+        _set(self, "sort", sort)
+        _set(self, "name", name)
+        _set(self, "restricted", restricted)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.sort) == (other.id, other.sort)
+
+    def __hash__(self) -> int:
+        return hash((self.id,))
 
 
 Value = int | Closure | ObjRef | ChanRef
@@ -63,10 +78,12 @@ ValueEnv = dict[str, Value]
 EMPTY_ENV: ValueEnv = {}
 
 
-@dataclass
 class EvalResult:
-    value: Value
-    steps: int
+    __slots__ = ("value", "steps")
+
+    def __init__(self, value: Value, steps: int):
+        self.value = value
+        self.steps = steps
 
 
 class EvalFault(MlgError):
@@ -78,7 +95,7 @@ class EvalFault(MlgError):
         diag = self.diagnostics[0]
         if diag.span != DUMMY_SPAN:
             return self
-        return type(self)(replace(diag, span=span))
+        return type(self)(Diagnostic(diag.message, span))
 
 
 class FuelExhausted(EvalFault):

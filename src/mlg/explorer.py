@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import syntax as S
@@ -35,6 +34,8 @@ from .engine import (
     Configuration, Redex, ReplSpawn, SoupMember, enabled_redexes,
     initial_configuration, step,
 )
+
+_set = object.__setattr__
 
 # ---------------------------------------------------------------------------
 # Canonicalization
@@ -199,17 +200,22 @@ def _member_entry(cache: dict, member: SoupMember) -> tuple:
     return memo
 
 
-@dataclass(frozen=True)
-class CanonicalState:
-    soup: tuple[tuple, ...]
-    store: tuple
-    # tuples do not cache their hashes, so `canonicalize` builds the hash
-    # from its members' cached ones; equal states still hash equal, since
-    # every part of it comes from structure
-    _hash: int = field(repr=False, compare=False)
+class CanonicalState(S.Node):
+    def __init__(self, soup: tuple[tuple, ...], store: tuple, key_hash: int):
+        _set(self, "soup", soup)
+        _set(self, "store", store)
+        # tuples do not cache their hashes, so `canonicalize` builds the
+        # hash from its members' cached ones; equal states still hash
+        # equal, since every part of it comes from structure
+        _set(self, "key_hash", key_hash)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.soup == other.soup and self.store == other.store
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.key_hash
 
 
 def canonicalize(config: Configuration) -> CanonicalState:
@@ -259,21 +265,18 @@ def canonicalize(config: Configuration) -> CanonicalState:
 # State graph
 
 
-@dataclass
 class StateGraph:
-    initial: CanonicalState
-    # insertion-ordered: states in discovery order, which numbers DOT
-    # nodes; each state maps to itself, so that edges share its object
-    states: dict[CanonicalState, CanonicalState] = field(
-        default_factory=dict)
-    edges: list[tuple[CanonicalState, str, CanonicalState]] = field(
-        default_factory=list
-    )
-    deadlocks: set[CanonicalState] = field(default_factory=set)
-    terminals: set[CanonicalState] = field(default_factory=set)
-    # each state left wholly or partly unexpanded, with the budgets that
-    # cut it: "depth", "states" or "repl-budget"
-    frontier: dict[CanonicalState, set[str]] = field(default_factory=dict)
+    def __init__(self, initial: CanonicalState):
+        self.initial = initial
+        # insertion-ordered: states in discovery order, which numbers DOT
+        # nodes; each state maps to itself, so that edges share its object
+        self.states: dict[CanonicalState, CanonicalState] = {}
+        self.edges: list[tuple[CanonicalState, str, CanonicalState]] = []
+        self.deadlocks: set[CanonicalState] = set()
+        self.terminals: set[CanonicalState] = set()
+        # each state left wholly or partly unexpanded, with the budgets
+        # that cut it: "depth", "states" or "repl-budget"
+        self.frontier: dict[CanonicalState, set[str]] = {}
 
     def to_dot(self) -> str:
         index = {s: i for i, s in enumerate(self.states)}

@@ -15,6 +15,11 @@ KEYWORDS = {
 SYMBOLS = {"->", "<=", "(", ")", "[", "]", "{", "}",
            ".", ",", ":", "!", "?", "+", "|", "="}
 
+# The most digits a numeral may have. Python reads and prints an int of at
+# most 4,300 digits (`sys.get_int_max_str_digits`); this leaves room for the
+# successors and sums of the largest numeral to print as well.
+MAX_NUMERAL_DIGITS = 4000
+
 
 # Blanks (white space and comments) or one token: a word, a number, a
 # symbol, or any other character, which is bad. The matches tile the text.
@@ -221,6 +226,9 @@ class Parser:
             return S.NatLit(0, self.starts[i])
         if kind == "number":
             self.pos = i + 1
+            if len(self.texts[i]) > MAX_NUMERAL_DIGITS:
+                raise MlgError(f"numeral has more than {MAX_NUMERAL_DIGITS} "
+                               f"digits", self.starts[i])
             return S.NatLit(int(self.texts[i]), self.starts[i])
         if kind == "succ":
             self.pos = i + 1

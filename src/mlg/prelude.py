@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
@@ -10,6 +9,8 @@ from .diagnostics import Diagnostic, MlgError
 from . import syntax as S
 from .parser import parse_program, parse_type
 from .typecheck import check_program
+
+_set = object.__setattr__
 
 
 def prelude_source() -> str:
@@ -40,11 +41,11 @@ EXPECTED_TYPES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class PreludeDef:
-    name: str
-    source: str
-    expected_type: S.CompType
+class PreludeDef(S.Node):
+    def __init__(self, name: str, source: str, expected_type: S.CompType):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "expected_type", expected_type)
 
 
 @cache

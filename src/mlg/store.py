@@ -4,18 +4,20 @@ so clones of a store share the objects they have not written."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import syntax as S
 from .evaluate import ChanRef, Closure, EvalFault, ObjRef
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class StoredObject:
-    id: int
-    signature: S.ObjType | None  # None only for unchecked programs
-    fields: dict[str, object]  # label -> Value; never mutated
-    version: int = 0
+
+class StoredObject(S.Node):
+    def __init__(self, id: int, signature: S.ObjType | None,
+                 fields: dict[str, object], version: int = 0):
+        _set(self, "id", id)
+        # None only for unchecked programs
+        _set(self, "signature", signature)
+        _set(self, "fields", fields)  # label -> Value; never mutated
+        _set(self, "version", version)
 
     def render(self) -> str:
         inner = ",".join(
@@ -84,9 +86,9 @@ class ObjectStore:
                 raise EvalFault(
                     f"object #{ref.id} has no field '{lab}'"
                 )
-        self.objects[obj.id] = replace(
-            obj, fields={**obj.fields, **dict(writes)}, version=obj.version + 1
-        )
+        self.objects[obj.id] = StoredObject(
+            obj.id, obj.signature, {**obj.fields, **dict(writes)},
+            obj.version + 1)
         self.write_count += 1
 
     def snapshot(self) -> tuple[StoredObject, ...]:

@@ -7,18 +7,79 @@ that syntax is well formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .diagnostics import DUMMY_SPAN, Span
+
+# ---------------------------------------------------------------------------
+# Nodes
+
+# a node's `__init__` stores its fields with this, past `Node.__setattr__`
+_set = object.__setattr__
+
+
+def _getter(fields: tuple[str, ...]):
+    """A function from a node to the tuple of its `fields`' values."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:  # `attrgetter` of one name gives the bare value
+        get = attrgetter(*fields)
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
+class Node:
+    """An immutable record whose fields are its `__init__`'s parameters,
+    except `span`, read once per class when it is defined. A node equals a
+    node of its own class with equal fields, whatever their spans, and
+    hashes as the tuple of its fields. Each class writes its `__init__`
+    out, so no code is generated for it at import.
+
+    A subclass that overrides `__eq__` also defines `__hash__`. Instances
+    keep a `__dict__`, which caches computed from a node live in."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _values = staticmethod(_getter(()))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = tuple(
+                name for name in code.co_varnames[1:code.co_argcount]
+                if name != "span")
+            cls._values = staticmethod(_getter(cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
 
 # ---------------------------------------------------------------------------
 # Names
 
 
-@dataclass(frozen=True)
-class Name:
-    text: str
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Name(Node):
+    def __init__(self, text: str, span: Span = DUMMY_SPAN):
+        _set(self, "text", text)
+        _set(self, "span", span)
 
     def __str__(self) -> str:
         return self.text
@@ -28,17 +89,17 @@ class Name:
 # Computation-core types
 
 
-@dataclass(frozen=True)
-class NatType:
+class NatType(Node):
     def __str__(self) -> str:
         return "nat"
 
 
-@dataclass(frozen=True, eq=False)
-class ArrowType:
+class ArrowType(Node):
     """Compared, hashed and printed by a loop down the codomain spine."""
-    domain: CompType
-    codomain: CompType
+
+    def __init__(self, domain: CompType, codomain: CompType):
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
 
     def _spine(self) -> tuple[CompType, ...]:
         """The domains down the codomain chain, then the last codomain."""
@@ -62,10 +123,10 @@ class ArrowType:
                            for t in self._spine())
 
 
-@dataclass(frozen=True)
-class ObjType:
+class ObjType(Node):
     # ordered (label, type) pairs, as parsed: labels distinct, at least one
-    signature: tuple[tuple[Name, "CompType"], ...]
+    def __init__(self, signature: tuple[tuple[Name, CompType], ...]):
+        _set(self, "signature", signature)
 
     def lookup(self, label: str) -> "CompType | None":
         for lab, ty in self.signature:
@@ -86,11 +147,11 @@ CompType = NatType | ArrowType | ObjType
 NAT = NatType()
 
 
-@dataclass(frozen=True)
-class ChanSort:
+class ChanSort(Node):
     """The sort of a channel that carries channels of sort `inner`."""
 
-    inner: Sort
+    def __init__(self, inner: Sort):
+        _set(self, "inner", inner)
 
     def __str__(self) -> str:
         return f"chan({self.inner})"
@@ -104,56 +165,60 @@ Sort = CompType | ChanSort
 # Computation-core expressions
 
 
-@dataclass(frozen=True)
-class Var:
-    name: Name
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Var(Node):
+    def __init__(self, name: Name, span: Span = DUMMY_SPAN):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class NatLit:
+class NatLit(Node):
     """A natural-number literal: `z`, a decimal numeral, or `succ` of one."""
 
-    n: int
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+    def __init__(self, n: int, span: Span = DUMMY_SPAN):
+        _set(self, "n", n)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Succ:
-    arg: CompExpr
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Succ(Node):
+    def __init__(self, arg: CompExpr, span: Span = DUMMY_SPAN):
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Rec:
-    scrutinee: CompExpr
-    zero_branch: CompExpr
-    succ_binder: Name
-    rec_binder: Name
-    succ_branch: CompExpr
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Rec(Node):
+    def __init__(self, scrutinee: CompExpr, zero_branch: CompExpr,
+                 succ_binder: Name, rec_binder: Name, succ_branch: CompExpr,
+                 span: Span = DUMMY_SPAN):
+        _set(self, "scrutinee", scrutinee)
+        _set(self, "zero_branch", zero_branch)
+        _set(self, "succ_binder", succ_binder)
+        _set(self, "rec_binder", rec_binder)
+        _set(self, "succ_branch", succ_branch)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Lambda:
-    param: Name
-    param_type: CompType
-    body: CompExpr
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Lambda(Node):
+    def __init__(self, param: Name, param_type: CompType, body: CompExpr,
+                 span: Span = DUMMY_SPAN):
+        _set(self, "param", param)
+        _set(self, "param_type", param_type)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: CompExpr
-    arg: CompExpr
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class App(Node):
+    def __init__(self, fn: CompExpr, arg: CompExpr, span: Span = DUMMY_SPAN):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class FieldSel:
-    subject: CompExpr
-    label: Name
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class FieldSel(Node):
+    def __init__(self, subject: CompExpr, label: Name,
+                 span: Span = DUMMY_SPAN):
+        _set(self, "subject", subject)
+        _set(self, "label", label)
+        _set(self, "span", span)
 
 
 CompExpr = Var | NatLit | Succ | Rec | Lambda | App | FieldSel
@@ -171,17 +236,20 @@ def succ(arg: CompExpr, span: Span = DUMMY_SPAN) -> CompExpr:
 # Data-core expressions
 
 
-@dataclass(frozen=True)
-class MakeObject:
-    fields: tuple[tuple[Name, CompExpr], ...]
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class MakeObject(Node):
+    def __init__(self, fields: tuple[tuple[Name, CompExpr], ...],
+                 span: Span = DUMMY_SPAN):
+        _set(self, "fields", fields)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class UpdateObject:
-    target: CompExpr
-    updates: tuple[tuple[Name, CompExpr], ...]
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class UpdateObject(Node):
+    def __init__(self, target: CompExpr,
+                 updates: tuple[tuple[Name, CompExpr], ...],
+                 span: Span = DUMMY_SPAN):
+        _set(self, "target", target)
+        _set(self, "updates", updates)
+        _set(self, "span", span)
 
 
 DataExpr = MakeObject | UpdateObject
@@ -195,84 +263,87 @@ DataExpr = MakeObject | UpdateObject
 Payload = CompExpr | DataExpr
 
 
-@dataclass(frozen=True)
-class Send:
-    chan: Name
-    payload: Payload
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Send(Node):
+    def __init__(self, chan: Name, payload: Payload, span: Span = DUMMY_SPAN):
+        _set(self, "chan", chan)
+        _set(self, "payload", payload)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Receive:
-    chan: Name
-    binder: Name
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Receive(Node):
+    def __init__(self, chan: Name, binder: Name, span: Span = DUMMY_SPAN):
+        _set(self, "chan", chan)
+        _set(self, "binder", binder)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Match:
-    left: Payload
-    right: Payload
-    inner: ProcAction
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Match(Node):
+    def __init__(self, left: Payload, right: Payload, inner: ProcAction,
+                 span: Span = DUMMY_SPAN):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "inner", inner)
+        _set(self, "span", span)
 
 
 ProcAction = Send | Receive | Match
 
 
-@dataclass(frozen=True)
-class Nil:
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Nil(Node):
+    def __init__(self, span: Span = DUMMY_SPAN):
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Prefix:
-    action: ProcAction
-    continuation: ProcTerm
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Prefix(Node):
+    def __init__(self, action: ProcAction, continuation: ProcTerm,
+                 span: Span = DUMMY_SPAN):
+        _set(self, "action", action)
+        _set(self, "continuation", continuation)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Node):
     """`+` is associative, so a sum is one flat node of guarded operands."""
 
-    operands: tuple[Nil | Prefix, ...]
-    span: Span = field(default=DUMMY_SPAN, compare=False)
-
-    def __post_init__(self):
-        for op in self.operands:
+    def __init__(self, operands: tuple[Nil | Prefix, ...],
+                 span: Span = DUMMY_SPAN):
+        for op in operands:
             if not isinstance(op, (Nil, Prefix)):
                 raise ValueError("unguarded sum operand")
+        _set(self, "operands", operands)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Par:
+class Par(Node):
     """One node per unparenthesized `|` chain."""
 
-    operands: tuple[ProcTerm, ...]
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+    def __init__(self, operands: tuple[ProcTerm, ...],
+                 span: Span = DUMMY_SPAN):
+        _set(self, "operands", operands)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Restrict:
-    chan: Name
-    chan_sort: Sort
-    body: ProcTerm
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Restrict(Node):
+    def __init__(self, chan: Name, chan_sort: Sort, body: ProcTerm,
+                 span: Span = DUMMY_SPAN):
+        _set(self, "chan", chan)
+        _set(self, "chan_sort", chan_sort)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class Repl:
-    body: ProcTerm
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class Repl(Node):
+    def __init__(self, body: ProcTerm, span: Span = DUMMY_SPAN):
+        _set(self, "body", body)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class ProcRef:
+class ProcRef(Node):
     """Reference to a named top-level process definition."""
 
-    name: Name
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+    def __init__(self, name: Name, span: Span = DUMMY_SPAN):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
 
 ProcTerm = Nil | Prefix | Sum | Par | Restrict | Repl | ProcRef
@@ -282,34 +353,35 @@ ProcTerm = Nil | Prefix | Sum | Par | Restrict | Repl | ProcRef
 # Programs
 
 
-@dataclass(frozen=True)
-class DefDef:
-    name: Name
-    body: CompExpr
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class DefDef(Node):
+    def __init__(self, name: Name, body: CompExpr, span: Span = DUMMY_SPAN):
+        _set(self, "name", name)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class ChanDecl:
-    name: Name
-    sort: Sort
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class ChanDecl(Node):
+    def __init__(self, name: Name, sort: Sort, span: Span = DUMMY_SPAN):
+        _set(self, "name", name)
+        _set(self, "sort", sort)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
-class ProcDef:
-    name: Name
-    body: ProcTerm
-    span: Span = field(default=DUMMY_SPAN, compare=False)
+class ProcDef(Node):
+    def __init__(self, name: Name, body: ProcTerm, span: Span = DUMMY_SPAN):
+        _set(self, "name", name)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
 
 TopItem = DefDef | ChanDecl | ProcDef
 
 
-@dataclass(frozen=True)
-class Program:
-    defs: tuple[TopItem, ...]
-    entry: ProcTerm | None = None
+class Program(Node):
+    def __init__(self, defs: tuple[TopItem, ...],
+                 entry: ProcTerm | None = None):
+        _set(self, "defs", defs)
+        _set(self, "entry", entry)
 
     def comp_defs(self) -> list[DefDef]:
         return [d for d in self.defs if isinstance(d, DefDef)]

@@ -8,8 +8,6 @@ checked against declared channel sorts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import Diagnostic, MlgError
 from . import syntax as S
 
@@ -252,12 +250,14 @@ def _check_proc(
 # Whole programs
 
 
-@dataclass
 class CheckResult:
-    def_types: dict[str, S.CompType]
-    diagnostics: list[Diagnostic]
-    # MakeObject node id -> statically inferred signature (for allocation)
-    obj_annotations: dict[int, S.ObjType]
+    def __init__(self, def_types: dict[str, S.CompType],
+                 diagnostics: list[Diagnostic],
+                 obj_annotations: dict[int, S.ObjType]):
+        self.def_types = def_types
+        self.diagnostics = diagnostics
+        # MakeObject node id -> statically inferred signature (for allocation)
+        self.obj_annotations = obj_annotations
 
     @property
     def ok(self) -> bool:

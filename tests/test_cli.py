@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import mlg
 from mlg import cli, engine
 from mlg.cli import build_parser, main
 from mlg.diagnostics import MlgError
+from mlg.parser import MAX_NUMERAL_DIGITS
 
 
 def invoke(capsys, *argv):
@@ -737,6 +739,43 @@ def test_big_numeral_argument_checks(capsys, tmp_path):
     assert invoke(capsys, "check", path) == (0, "", "")
 
 
+def _numeral_program(digits):
+    numeral = "9" * digits
+    return numeral, (f"chan c : nat\n"
+                     f"system = c!(succ({numeral})) . 0 | c?(x) . 0\n")
+
+
+@pytest.mark.parametrize("command", ["check", "fmt", "run", "explore"])
+def test_a_numeral_at_the_digit_limit_runs(capsys, tmp_path, command):
+    # its successor has one digit more, and prints too
+    numeral, text = _numeral_program(MAX_NUMERAL_DIGITS)
+    result = str(int(numeral) + 1)
+    expected = {
+        "check": "",
+        "fmt": text.replace(f"succ({numeral})", result),
+        "run": f"#0 comm c({result}) pid0->pid1\n#1 terminated\n",
+        "explore": "states=2 edges=1 deadlocks=0 terminals=1 frontier=0\n",
+    }[command]
+    assert invoke(capsys, command, write(tmp_path, text)) == (0, expected, "")
+
+
+@pytest.mark.parametrize("command", ["check", "fmt", "run", "explore"])
+@pytest.mark.parametrize("text, col", [
+    (_numeral_program(MAX_NUMERAL_DIGITS + 1)[1], 18),
+    # past Python's own limit on reading an int, and under `succ`, which
+    # `fmt` printed as one literal
+    ("def a = " + "9" * 5000 + "\nsystem = 0\n", 9),
+    ("def a = succ(" + "9" * 4300 + ")\nsystem = 0\n", 14),
+])
+def test_a_numeral_past_the_digit_limit_is_a_diagnostic(capsys, tmp_path,
+                                                        command, text, col):
+    path = write(tmp_path, text)
+    line = 2 if text.startswith("chan") else 1
+    assert invoke(capsys, command, path) == (2, "", (
+        f"{path}:{line}:{col}: error: numeral has more than "
+        f"{MAX_NUMERAL_DIGITS} digits\n"))
+
+
 # long chains and wide `|` and `+` are walked by loops in every command
 CD = "chan c : nat\nchan d : nat\n"
 
@@ -861,6 +900,26 @@ def test_bytes_that_are_not_utf8_end_in_a_verdict(capsys, tmp_path, case):
     path.write_bytes(data)
     code, out, err = invoke(capsys, "check", str(path))
     assert (code, err) == (expected, diagnostic.format(file=path))
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_file_and_stdin_read_the_same_lines(capsys, tmp_path, monkeypatch,
+                                              newline, source):
+    # a comment ends at the line's end, whichever way the line ends
+    data = newline.join(["chan c : nat -- a comment",
+                         "system = c!(add 1) . 0", ""]).encode()
+    if source == "file":
+        path = tmp_path / "input.mlg"
+        path.write_bytes(data)
+        name = str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        name = "-"
+    where = "<stdin>" if source == "stdin" else name
+    assert invoke(capsys, "check", name) == (2, "", (
+        f"{where}:2:10: error: channel 'c' carries nat but payload has sort "
+        f"nat -> nat\n"))
 
 
 @pytest.mark.parametrize("encoding", ["utf-8:strict", "ascii", "latin-1"])

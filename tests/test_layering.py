@@ -68,16 +68,46 @@ def test_module_imports_only_its_allowed_modules(module):
     assert imported <= ALLOWED[module]
 
 
+def test_no_module_imports_dataclasses():
+    # a dataclass generates its methods' code when its module is imported,
+    # which every command would pay for at start-up
+    for path in SRC.glob("*.py"):
+        assert "dataclasses" not in imported_modules(path), path.stem
+
+
+# modules that only running a program needs, and the code generators that
+# no command should pay for at start-up
+RUNTIME = ["mlg.engine", "mlg.explorer", "mlg.evaluate", "mlg.store"]
+CODE_GENERATORS = ["dataclasses", "inspect"]
+
+
+def loaded_modules(code: str, watched: list[str]) -> list[str]:
+    """The `watched` modules loaded after `code` ran in a fresh
+    interpreter."""
+    code += f"; print(sorted(set(sys.modules) & {set(watched)!r}))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
 def test_checking_a_program_does_not_import_the_runtime():
     # the package re-exports nothing, so loading and checking a program
     # imports no layer that only running or printing it needs
     code = ("import sys, mlg, mlg.prelude, mlg.typecheck; "
-            "print(sorted(set(sys.modules) & {'mlg.engine', 'mlg.explorer', "
-            "'mlg.evaluate', 'mlg.store', 'mlg.pretty'}))")
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+            "mlg.typecheck.check_program(mlg.prelude.load_program("
+            "'system = 0'))")
+    assert loaded_modules(
+        code, RUNTIME + ["mlg.pretty"] + CODE_GENERATORS) == []
+
+
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_check_and_fmt_do_not_import_the_runtime(tmp_path, command):
+    path = tmp_path / "input.mlg"
+    path.write_text("chan c : nat\nsystem = c!(add 1 2) . 0 | c?(x) . 0\n",
+                    encoding="utf-8")
+    code = f"import sys, mlg.cli; mlg.cli.main([{command!r}, {str(path)!r}])"
+    assert loaded_modules(code, RUNTIME + CODE_GENERATORS) == []
 
 
 def test_engine_stays_within_its_line_budget():

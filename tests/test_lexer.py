@@ -9,7 +9,6 @@ Every offset the parser puts on a node must be the start of a reference
 token of a kind the grammar allows there.
 """
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -117,11 +116,10 @@ def spanned_nodes(node):
         node = stack.pop()
         if isinstance(node, tuple):
             stack.extend(node)
-        elif dataclasses.is_dataclass(node):
+        elif isinstance(node, S.Node):
             if getattr(node, "span", DUMMY_SPAN) != DUMMY_SPAN:
                 found.append(node)
-            stack.extend(getattr(node, f.name)
-                         for f in dataclasses.fields(node) if f.name != "span")
+            stack.extend(getattr(node, name) for name in node._fields)
     return found
 
 
