@@ -155,9 +155,12 @@ def cmd_explore(args, text: str) -> int:
         program, max_depth=args.depth, max_states=args.states,
         repl_budget=args.repl_budget, annotations=annotations,
     )
+    records = args.fmt == "records"
     if args.dot:
         dot = graph.to_dot()
-        if args.dot == "-":
+        if args.dot == "-" and records:  # stdout stays one record a line
+            print(json.dumps({"kind": "dot", "text": dot}, sort_keys=True))
+        elif args.dot == "-":
             sys.stdout.write(dot)
         else:
             try:
@@ -173,7 +176,6 @@ def cmd_explore(args, text: str) -> int:
         "deadlocks": len(deadlocks), "terminals": len(graph.terminals),
         "frontier": len(graph.frontier),
     }
-    records = args.fmt == "records"
     if records:
         print(json.dumps({"kind": "summary", **summary}, sort_keys=True))
     else:

@@ -97,9 +97,6 @@ class Configuration:
         self.proc_defs: dict[str, tuple] = {}  # (body, env)
         self.default_repl_budget = default_repl_budget
         self.budget_cut = False  # a spawn was suppressed by the repl budget
-        # the explorer's canonical-key cache, shared like proc_defs: term
-        # ids to their member keys, plus interned key tuples
-        self.canon_cache: dict = {}
 
     def clone(self) -> "Configuration":
         """A copy that shares every field but its own soup list and store,

@@ -127,12 +127,11 @@ def eval_comp(
     env: ValueEnv,
     store,
     e: S.CompExpr,
-    fuel: Fuel | None = None,
+    fuel: Fuel,
 ) -> EvalResult:
     """Evaluate `e`; `store` is only ever read (get), never written."""
-    counter = fuel if fuel is not None else Fuel(10**9)
-    value = _code(e)(env, (), store, counter)
-    return EvalResult(value, counter.used)
+    value = _code(e)(env, (), store, fuel)
+    return EvalResult(value, fuel.used)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ Deadlock witnesses are read off the edges `explore` records.
 A member's key, its restricted channels and its numbered entries are
 computed once and kept on the member, so a successor pays only for the
 members its step made; a state's hash is built from its members' cached
-ones.
+ones. They are also kept on the member's term, under the budget and the
+values of the names the term's key looked up: members that steps rebuild
+from one term and equal values, in this exploration or a later one of the
+same program, share them, and the term is walked once per such input.
 """
 
 from __future__ import annotations
@@ -157,46 +160,37 @@ def _walk(term: S.ProcTerm, env: ValueEnv):
     return key, tuple(occurs), tuple(looked_up)
 
 
-def _member_key(cache: dict, member: SoupMember) -> tuple[tuple, tuple]:
-    """(interned key, restricted channels) of a member, cached on its term
-    and the values of the names the term's first walk looked up. The entry
-    holds the term, so its id is not reused while the cache lives. Channel
-    refs are equal only when their ids and sorts are, so configurations
-    that give one id to restricted channels of two sorts get separate
-    entries."""
-    entry = cache.get(id(member.term))
-    if entry is not None:
-        values = (member.repl_budget, *map(member.env.get, entry[1]))
-        hit = entry[2].get(values)
-        if hit is not None:
-            return hit
-    key, occurs, names = _walk(member.term, member.env)
-    if member.repl_budget is not None:
-        key += (member.repl_budget,)
-    _, names, keys = cache.setdefault(id(member.term),
-                                      (member.term, names, {}))
-    values = (member.repl_budget, *map(member.env.get, names))
-    keys[values] = (cache.setdefault(key, key), occurs)
-    return keys[values]
-
-
-def _member_entry(cache: dict, member: SoupMember) -> tuple:
+def _member_entry(member: SoupMember) -> tuple:
     """(key, restricted channels, entry) of a member, kept on the member.
 
     A member's term, env and budget never change, so this is computed on
     first use and serves every configuration that shares the member. The
-    entry is the interned `(key, ())` with its hash when the member holds
-    no restricted channel; otherwise it maps each numbering of its
-    channels to the interned `(key, numbers)` with its hash."""
+    entry is `(key, ())` with its hash when the member holds no restricted
+    channel; otherwise it maps each numbering of its channels to
+    `(key, numbers)` with its hash.
+
+    Members built from one term share the memos kept on the term under
+    `_keys`: the names its first walk looked up, and a dict from the budget
+    and those names' values to the memo. Channel refs are equal only when
+    their ids and sorts are, so configurations that give one id to
+    restricted channels of two sorts get separate memos."""
     memo = member.__dict__.get("_canon")
+    if memo is not None:
+        return memo
+    term, env = member.term, member.env
+    keys = term.__dict__.get("_keys")
+    if keys is not None:
+        memo = keys[1].get((member.repl_budget, *map(env.get, keys[0])))
     if memo is None:
-        key, occurs = _member_key(cache, member)
-        if occurs:
-            entry = {}
-        else:
-            entry = (cache.setdefault((key, ()), (key, ())), hash((key, ())))
-        memo = (key, occurs, entry)
-        object.__setattr__(member, "_canon", memo)
+        key, occurs, names = _walk(term, env)
+        if member.repl_budget is not None:
+            key += (member.repl_budget,)
+        if keys is None:
+            keys = (names, {})
+            _set(term, "_keys", keys)
+        memo = (key, occurs, {} if occurs else ((key, ()), hash((key, ()))))
+        keys[1][(member.repl_budget, *map(env.get, keys[0]))] = memo
+    _set(member, "_canon", memo)
     return memo
 
 
@@ -225,8 +219,7 @@ def canonicalize(config: Configuration) -> CanonicalState:
     built from an iterator of unknown length is made larger, then shrunk,
     and once freed it stays in a free list that such builds never draw
     from: that raised an exploration's traced peak memory by a third."""
-    cache = config.canon_cache
-    memos = [_member_entry(cache, member) for member in config.soup]
+    memos = [_member_entry(member) for member in config.soup]
     # stable, and the soup is in pid order: equal keys stay in pid order
     memos.sort(key=itemgetter(0))
     # restricted channel id -> its number
@@ -238,9 +231,8 @@ def canonicalize(config: Configuration) -> CanonicalState:
                              for ref in occurs])
             numbered = entry.get(numbers)
             if numbered is None:
-                numbered = entry[numbers] = (
-                    cache.setdefault((key, numbers), (key, numbers)),
-                    hash((key, numbers)))
+                numbered = entry[numbers] = ((key, numbers),
+                                             hash((key, numbers)))
             entry = numbered
         soup.append(entry)
     if alias:  # else `memos` was sorted by these keys already

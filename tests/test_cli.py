@@ -318,6 +318,20 @@ def test_explore_dot_output(capsys, tmp_path):
     assert "digraph states {" in out
 
 
+def test_explore_dot_under_records_is_one_record(capsys):
+    path = str(demo_path("deadlock_recv.mlg"))
+    _, text, _ = invoke(capsys, "explore", path, "--dot", "-")
+    code, out, err = invoke(capsys, "explore", path, "--dot", "-",
+                            "--format", "records")
+    assert code == 3
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [r["kind"] for r in lines[:2]] == ["dot", "summary"]
+    # the record's text is the DOT text mode prints before its summary
+    dot = lines[0]["text"]
+    assert dot.startswith("digraph states {") and dot.endswith("}\n")
+    assert text.startswith(dot) and text[len(dot):].startswith("states=")
+
+
 def test_explore_dot_to_an_unwritable_path_is_a_diagnostic(capsys, tmp_path):
     dot = str(tmp_path / "missing" / "x.dot")
     code, out, err = invoke(

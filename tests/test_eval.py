@@ -20,7 +20,8 @@ ADD_SRC = (
 
 
 def run(src, env=None, store=None, fuel=None):
-    return eval_comp(env or EMPTY_ENV, store, parse_comp_expr(src), fuel)
+    return eval_comp(env or EMPTY_ENV, store, parse_comp_expr(src),
+                     fuel or Fuel(10**7))
 
 
 def test_numerals_evaluate_to_themselves():
@@ -91,6 +92,12 @@ def test_a_fault_keeps_its_first_location():
 def test_fuel_limit_must_be_positive():
     with pytest.raises(ValueError):
         Fuel(0)
+
+
+def test_evaluation_has_no_budget_of_its_own():
+    # the caller's Fuel is the one step budget
+    with pytest.raises(TypeError):
+        eval_comp(EMPTY_ENV, None, parse_comp_expr("0"))
 
 
 def test_fuel_exhaustion():

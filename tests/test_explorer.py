@@ -101,25 +101,63 @@ GRID = (
 def test_each_member_is_keyed_once(monkeypatch):
     import mlg.explorer as E
 
-    # every member canonicalize saw, held so that no id is reused
-    seen: dict[int, object] = {}
     calls = []
-    member_key, canon = E._member_key, E.canonicalize
+    walk = E._walk
 
-    def counting_member_key(cache, member):
-        calls.append(member)
-        return member_key(cache, member)
+    def counting_walk(term, env):
+        calls.append(term)
+        return walk(term, env)
 
-    def recording_canonicalize(config):
-        seen.update((id(m), m) for m in config.soup)
-        return canon(config)
-
-    monkeypatch.setattr(E, "_member_key", counting_member_key)
-    monkeypatch.setattr(E, "canonicalize", recording_canonicalize)
+    monkeypatch.setattr(E, "_walk", counting_walk)
     program, ann = load(GRID)
     graph = explore(program, annotations=ann)
     assert len(graph.states) == 4 * 10
-    assert len(calls) == len(seen)
+    # 126 members, built from 18 terms and the values they look up
+    assert len(calls) == 18
+    # the keys stay on the program's terms: exploring it again walks none
+    calls.clear()
+    assert list(explore(program, annotations=ann).states) == list(graph.states)
+    assert calls == []
+
+
+REPLICATED_SERVER = (
+    "chan req : nat\nchan done : nat\n"
+    "system = !req?(x) . (new r : nat in (r!(x) . 0 | r?(y) . done!(y) . 0))"
+    " | !req!(1) . 0 | !done?(a) . 0\n"
+)
+# its members look up a closure-valued def and hold restricted channels;
+# each `c!(twice y) . 0` is reached with two values of y
+CLOSURE_OVER_RESTRICTED = (
+    "chan c : nat\nchan d : nat\ndef twice = fun (x : nat) succ(succ(x))\n"
+    "system = new a : nat in"
+    " ((a!(twice 1) . 0 + a!(twice 2) . 0) | a?(y) . c!(twice y) . 0)"
+    " | new b : nat in (b!(1) . 0 | b?(y) . c!(twice y) . 0)"
+    " | c?(p) . d!(p) . 0\n"
+)
+
+
+def outcome(graph):
+    """What `mlg explore` reports of a graph: its summary and DOT text."""
+    return (len(graph.states), len(graph.edges), len(find_deadlocks(graph)),
+            len(graph.terminals), len(graph.frontier), graph.to_dot())
+
+
+@pytest.mark.parametrize("src, runs", [
+    # (budget, states, edges, deadlocks, terminals, frontier)
+    (REPLICATED_SERVER, [(1, 8, 8, 0, 0, 6), (2, 33, 57, 0, 0, 19),
+                         (1, 8, 8, 0, 0, 6)]),
+    (CLOSURE_OVER_RESTRICTED, [(2, 13, 18, 4, 0, 0), (2, 13, 18, 4, 0, 0)]),
+], ids=["replicated-server", "closure-over-restricted"])
+def test_keys_kept_on_a_program_are_reused_only_for_equal_inputs(src, runs):
+    # the keys that earlier explorations left on the program's terms give
+    # what a fresh parse of the same text gives
+    program, ann = load(src)
+    for budget, *summary in runs:
+        fresh, fresh_ann = load(src)
+        kept = outcome(explore(program, repl_budget=budget, annotations=ann))
+        assert kept == outcome(explore(fresh, repl_budget=budget,
+                                       annotations=fresh_ann))
+        assert list(kept[:5]) == summary
 
 
 def test_states_of_two_explorations_are_equal_and_hash_equal():
