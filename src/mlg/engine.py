@@ -1,25 +1,27 @@
 """Deterministic, seeded reduction engine for the coordination core.
 
-A configuration holds a soup of sequential process members and the object
-store; a channel is a ChanRef value that carries its own name and sort. One
-reduction step is either a synchronous communication (Comm) or a lazy
-replication unfolding (ReplSpawn). The scheduler picks uniformly among the
-canonically ordered enabled redexes with a seeded generator, so identical
-(program, seed, maxSteps) triples produce byte-identical traces. It indexes
-each member's offers by channel, counts the redexes per channel and builds
-only the one the seed picks. A run carries the index from step to step, so
-a step costs the members it removed and inserted, the members whose offers
-wait on a guard and the replications, plus the pick's walk over the
-senders. A redex carries the soup members and the offers it was built
-from, and a step applies those, finding its members by identity.
-"""
+A configuration holds a soup of sequential process members, in pid order,
+and the object store; a channel is a ChanRef value that carries its own
+name and sort. A reduction step is a synchronous communication (Comm) or a
+lazy replication unfolding (ReplSpawn). The scheduler picks uniformly among
+the canonically ordered enabled redexes with a seeded generator, so equal
+(program, seed, maxSteps) triples give byte-identical traces. It indexes
+each member's offers by channel and counts the redexes per channel; a run
+carries the index from step to step and builds only the redex the seed
+picks, from one sender's sorted offer pairs. A step applies the members
+and offers its redex carries, finding each member by pid. So a step costs
+the members it removes and inserts, those whose offers wait on a guard and
+one sender's pairs, plus O(senders) and O(replications) for the walk to
+the picked sender and the spawn decision."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
+from operator import attrgetter
 
 from .diagnostics import MlgError, Span
 from . import syntax as S
@@ -31,6 +33,7 @@ from .store import ObjectStore, render_value
 
 DEFAULT_FUEL = 10**7
 _set = object.__setattr__
+_pid = attrgetter("pid")
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +133,6 @@ class Comm(S.Node):
         _set(self, "receiver", receiver)
         _set(self, "receive", receive)
         _set(self, "step_count", step_count)
-
-    def sort_key(self):
-        return (0, self.sender.pid, self.receiver.pid, self.send.path,
-                self.receive.path, self.send.chan.id)
 
 
 class ReplSpawn(S.Node):
@@ -455,8 +454,8 @@ class _Index:
             self.remove(redex.receiver)
         elif redex.member.repl_budget is not None:
             # the spawn decremented the budget on a new member, same pid
-            pid = redex.member.pid
-            self.insert(config, next(m for m in config.soup if m.pid == pid))
+            i = bisect_left(config.soup, redex.member.pid, key=_pid)
+            self.insert(config, config.soup[i])
         # a guard can read the store: evaluate it again, in its pid's slot
         for pid, member in self.guarded.items():
             self._drop(self.members[pid])
@@ -510,15 +509,15 @@ class _Index:
                 spawns.append(member)
         return spawns
 
-    def comms(self, member: SoupMember, sends: list[Offer]) -> list[Comm]:
-        comms = [
-            Comm(member, off, partner, roff, self.step_count)
-            for off in sends
-            for partner, roff in self.receivers.get(off.chan.id, {}).values()
-            if partner is not member
-        ]
-        comms.sort(key=Comm.sort_key)
-        return comms
+    def comms(self, member: SoupMember, sends: list[Offer]) -> list[tuple]:
+        """A sender's comms in canonical order, as tuples (receiver pid,
+        send path, receive path, send, receiver, receive): the first three
+        are unique for one sender, so the sort compares no offer."""
+        return sorted([(rpid, off.path, rpath, off, partner, roff)
+                       for off in sends
+                       for (rpid, rpath), (partner, roff)
+                       in self.receivers.get(off.chan.id, {}).items()
+                       if partner is not member])
 
     def redex(self, i: int) -> Redex:
         receivers = self.receivers
@@ -529,12 +528,14 @@ class _Index:
                 if own:
                     n -= own[off.chan.id]
             if i < n:
-                return self.comms(member, sends)[i]
+                return Comm(member, *self.comms(member, sends)[i][3:],
+                            self.step_count)
             i -= n
         return ReplSpawn(self.spawns[i], self.step_count)
 
     def redexes(self) -> list[Redex]:
-        comms = [comm for member, sends, _, _ in self.members.values()
+        comms = [Comm(member, *comm[3:], self.step_count)
+                 for member, sends, _, _ in self.members.values()
                  if sends for comm in self.comms(member, sends)]
         return comms + [ReplSpawn(m, self.step_count) for m in self.spawns]
 
@@ -548,6 +549,13 @@ def enabled_redexes(config: Configuration) -> list[Redex]:
 # Stepping
 
 
+def _slot(soup: list[SoupMember], member: SoupMember, what: str) -> int:
+    i = bisect_left(soup, member.pid, key=_pid)  # a soup is in pid order
+    if i == len(soup) or soup[i] is not member:
+        raise MlgError(f"stale redex: {what} no longer present")
+    return i
+
+
 def step(config: Configuration, redex: Redex) -> Configuration:
     """Apply one redex, returning the successor configuration.
 
@@ -559,27 +567,22 @@ def step(config: Configuration, redex: Redex) -> Configuration:
     new = config.clone()
     if isinstance(redex, ReplSpawn):
         member = redex.member
-        idx = next((i for i, m in enumerate(new.soup) if m is member), None)
-        if idx is None:
-            raise MlgError("stale redex: replication no longer present")
+        idx = _slot(new.soup, member, "replication")
         if member.repl_budget is not None:
             new.soup[idx] = SoupMember(member.pid, member.term, member.env,
                                        member.repl_budget - 1)
         first_new_pid = new.next_pid
         insert_term(new, member.term.body, member.env)
         if new.trace is not None:
-            new.trace.append(TraceEvent(
-                "spawn", new.step_count, pids=(member.pid, first_new_pid)
-            ))
+            new.trace.append(TraceEvent("spawn", new.step_count,
+                                        pids=(member.pid, first_new_pid)))
         new.step_count += 1
         return new
 
     sender, send, receiver, receive = (redex.sender, redex.send,
                                        redex.receiver, redex.receive)
-    soup = [m for m in new.soup if m is not sender and m is not receiver]
-    if len(soup) != len(new.soup) - 2:
-        raise MlgError("stale redex: participant no longer present")
-    new.soup = soup
+    for member in (sender, receiver):
+        del new.soup[_slot(new.soup, member, "participant")]
 
     payload = send.action.payload
     value, eval_steps = eval_payload(new, sender.env, payload, mutate=True)

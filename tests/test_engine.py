@@ -115,7 +115,26 @@ def test_redex_from_a_sibling_configuration_rejected():
     first, second = (step(config, r) for r in enabled_redexes(config))
     assert first.step_count == second.step_count
     (redex,) = enabled_redexes(first)
-    with pytest.raises(MlgError):
+    with pytest.raises(MlgError, match="participant no longer present"):
+        step(second, redex)
+
+
+def test_redex_whose_participant_lies_past_the_soup_rejected():
+    # the first sibling gives pid5 to d!(1) . 0; the second ends with pid2,
+    # so pid5 lies past its last member
+    program, ann = load(
+        "chan c : nat\n"
+        "chan d : nat\n"
+        "chan e : nat\n"
+        "system = c!(1) . d!(1) . 0 | c?(x) . 0 | d?(y) . 0 | e!(2) . 0"
+        " | e?(w) . 0\n"
+    )
+    config = initial_configuration(program, ann)
+    config.trace = None
+    first, second = (step(config, r) for r in enabled_redexes(config))
+    assert [m.pid for m in second.soup] == [0, 1, 2]
+    (redex,) = [r for r in enabled_redexes(first) if r.sender.pid == 5]
+    with pytest.raises(MlgError, match="participant no longer present"):
         step(second, redex)
 
 

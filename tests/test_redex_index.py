@@ -17,6 +17,7 @@ import itertools
 import json
 import random
 
+import pytest
 from termgen import gen_proc, proc_program
 from test_run_golden import FIXTURE, wide_text
 
@@ -46,7 +47,9 @@ def reference_comms(config) -> list[Comm]:
                             and roff.chan.id == soff.chan.id):
                         comms.append(Comm(members[spid], soff, members[rpid],
                                           roff, config.step_count))
-    return sorted(comms, key=Comm.sort_key)
+    # canonical order: sender pid, receiver pid, send path, receive path
+    return sorted(comms, key=lambda c: (c.sender.pid, c.receiver.pid,
+                                        c.send.path, c.receive.path))
 
 
 def unfold(trial, member):
@@ -162,6 +165,28 @@ def test_index_matches_reference_on_hand_built_soups():
         walk(config, seed, steps=8)
 
 
+# sums with several sends or receives, where send-path order and
+# receiver-pid order can disagree
+SUMS = [
+    "(c!(8) . 0 + d!(9) . 0)",
+    "(c?(p) . 0 + d?(q) . 0)",
+    "(d!(1) . 0 + c!(2) . 0 + c?(r) . 0)",
+]
+
+
+def test_index_keeps_canonical_order_on_sums():
+    for seed in range(100):
+        rng = random.Random(seed)
+        snippets = rng.choices(SNIPPETS + SUMS * 4, k=rng.randint(2, 6))
+        budget = rng.choice([None, 0, 1, 2])
+        program, annotations = _checked(soup_text(snippets))
+        walk(initial_configuration(program, annotations, repl_budget=budget),
+             seed, steps=6)
+        assert_carried_matches_fresh(
+            initial_configuration(program, annotations, repl_budget=budget),
+            seed, steps=20)
+
+
 def termgen_seeds() -> list[int]:
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     return [int(name.split("/")[1]) for name in golden
@@ -242,13 +267,16 @@ def test_carried_index_matches_fresh_on_wide_soups():
             initial_configuration(program, annotations), seed, steps=k)
 
 
+REPLICATED_SERVER = (
+    "chan req : nat\nchan done : nat\n"
+    "system = !req?(x) . (new r : nat in (r!(x) . 0 | r?(y) . done!(y)"
+    " . 0)) | !req!(1) . 0 | !done?(a) . 0\n")
+
+
 def test_carried_index_keeps_only_live_channels():
     # every unfolding restricts a fresh channel r, used by two members for
     # a few steps; the index must let go of it when they are gone
-    program, annotations = _checked(
-        "chan req : nat\nchan done : nat\n"
-        "system = !req?(x) . (new r : nat in (r!(x) . 0 | r?(y) . done!(y)"
-        " . 0)) | !req!(1) . 0 | !done?(a) . 0\n")
+    program, annotations = _checked(REPLICATED_SERVER)
     config = initial_configuration(program, annotations)
     for config, index in itertools.islice(carried(config, 0), 4000):
         pass
@@ -280,3 +308,21 @@ def test_run_computes_each_members_offers_once(monkeypatch):
     assert verdict == E.TERMINATED and len(trace) == k + 1
     assert len(calls) <= 2 * k
 
+
+@pytest.mark.parametrize("text, max_steps", [
+    (wide_text(3, 60, 1), 10**5), (REPLICATED_SERVER, 4000),
+], ids=["wide", "replicated-server"])
+def test_run_builds_one_comm_per_comm_step(monkeypatch, text, max_steps):
+    built = []
+
+    class CountingComm(Comm):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(E, "Comm", CountingComm)
+    program, annotations = _checked(text)
+    _, _, trace = run(program, seed=3, max_steps=max_steps,
+                      annotations=annotations)
+    comms = sum(event.kind == "comm" for event in trace)
+    assert comms >= 60 and len(built) == comms
