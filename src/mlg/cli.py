@@ -76,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="bounded exploration for deadlocks"
     )
     common(p_explore)
-    p_explore.add_argument("--depth", type=_positive, default=32)
+    p_explore.add_argument("--depth", type=_positive, default=None,
+                           help="cut paths longer than this (default: no "
+                                "cap; every path is finite)")
     p_explore.add_argument("--states", type=_positive, default=10**5)
     p_explore.add_argument("--repl-budget", type=_positive, default=2)
     p_explore.add_argument("--dot", default=None,
@@ -202,7 +204,12 @@ def cmd_explore(args, text: str) -> int:
 
 
 def cmd_fmt(args, text: str) -> int:
-    sys.stdout.write(pretty_program(parse_program(text)))
+    formatted = pretty_program(parse_program(text))
+    if args.fmt == "records":
+        print(json.dumps({"kind": "program", "text": formatted},
+                         sort_keys=True))
+    else:
+        sys.stdout.write(formatted)
     return EXIT_OK
 
 

@@ -66,15 +66,15 @@ class TraceEvent:
         if self.kind == "comm":
             parts.append(f"{self.chan}({self.payload})")
             parts.append(f"pid{self.pids[0]}->pid{self.pids[1]}")
+            if self.detail:
+                parts.append(self.detail)
+            if self.store_delta:
+                parts.append(";")
+                parts.extend(self.store_delta)
         elif self.kind == "spawn":
             parts.append(f"pid{self.pids[0]}=>pid{self.pids[1]}")
         elif self.kind == "update":
             parts.append(self.store_delta[0])
-        if self.kind == "comm" and self.detail:
-            parts.append(self.detail)
-        if self.kind == "comm" and self.store_delta:
-            parts.append(";")
-            parts.extend(self.store_delta)
         return " ".join(parts)
 
     def to_record(self) -> dict:
@@ -148,12 +148,8 @@ Redex = Comm | ReplSpawn
 # Building the initial configuration
 
 
-def eval_payload(
-    config: Configuration,
-    env: ValueEnv,
-    payload: S.Payload,
-    mutate: bool,
-) -> tuple[Value, int]:
+def eval_payload(config: Configuration, env: ValueEnv, payload: S.Payload,
+                 mutate: bool) -> tuple[Value, int]:
     """Evaluate a payload to a Value; returns (value, computation steps).
 
     With mutate=False (guard evaluation) object creation/update is refused.
@@ -173,11 +169,8 @@ def eval_payload(
         raise fault.at(payload.span) from None
 
 
-def _eval_data(
-    config: Configuration,
-    env: ValueEnv,
-    d: S.DataExpr,
-) -> tuple[Value, int]:
+def _eval_data(config: Configuration, env: ValueEnv,
+               d: S.DataExpr) -> tuple[Value, int]:
     fuel = Fuel(DEFAULT_FUEL)
     if isinstance(d, S.MakeObject):
         initial: dict[str, Value] = {}
@@ -242,24 +235,30 @@ def initial_configuration(
     annotations: dict[int, S.ObjType] | None = None,
     repl_budget: int | None = None,
 ) -> Configuration:
-    """Evaluate definitions, allocate global channels, normalize the entry."""
-    config = Configuration([], ObjectStore(), annotations or {},
-                           repl_budget)
-    env = EMPTY_ENV
-    for item in program.defs:
-        if isinstance(item, S.DefDef):
-            try:
-                value = eval_comp(env, config.store, item.body,
-                                  Fuel(DEFAULT_FUEL)).value
-            except EvalFault as fault:
-                raise fault.at(item.span) from None
-            env = {**env, item.name.text: value}
-        elif isinstance(item, S.ChanDecl):
-            env = {**env, item.name.text: ChanRef(
-                config.next_chan, item.sort, item.name.text, restricted=False)}
-            config.next_chan += 1
-        else:
-            config.proc_defs[item.name.text] = (item.body, env)
+    """Evaluate definitions, allocate global channels, normalize the entry.
+    Definitions are evaluated once per program, kept on it as `_defined`, so
+    its runs and explorations share their closures and the keys kept for
+    them."""
+    config = Configuration([], ObjectStore(), annotations or {}, repl_budget)
+    if "_defined" not in program.__dict__:
+        env = EMPTY_ENV
+        for item in program.defs:
+            if isinstance(item, S.DefDef):
+                try:  # on an empty store: a definition reads no object
+                    value = eval_comp(env, config.store, item.body,
+                                      Fuel(DEFAULT_FUEL)).value
+                except EvalFault as fault:
+                    raise fault.at(item.span) from None
+                env = {**env, item.name.text: value}
+            elif isinstance(item, S.ChanDecl):
+                env = {**env, item.name.text: ChanRef(
+                    config.next_chan, item.sort, item.name.text,
+                    restricted=False)}
+                config.next_chan += 1
+            else:
+                config.proc_defs[item.name.text] = (item.body, env)
+        _set(program, "_defined", (env, config.proc_defs, config.next_chan))
+    env, config.proc_defs, config.next_chan = program._defined
     if program.entry is not None:
         insert_term(config, program.entry, env)
     return config

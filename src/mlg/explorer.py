@@ -303,7 +303,7 @@ def _edge_label(redex: Redex) -> str:
 
 def explore(
     program: S.Program,
-    max_depth: int = 32,
+    max_depth: int | None = None,
     max_states: int = 10**5,
     repl_budget: int = 2,
     annotations: dict[int, S.ObjType] | None = None,
@@ -329,7 +329,7 @@ def explore(
             elif state not in graph.frontier:
                 graph.deadlocks.add(state)
             continue
-        if depth >= max_depth:
+        if max_depth is not None and depth >= max_depth:
             graph.frontier.setdefault(state, {"depth"})
             continue
         for redex in redexes:

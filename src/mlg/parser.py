@@ -109,9 +109,7 @@ class Parser:
             self.pos = i + 1
         return i
 
-    def error(self, message: str, span: Span | None = None):
-        if span is None:  # offset 0 is a span too
-            span = self.starts[self.pos]
+    def error(self, message: str, span: Span):
         self.diagnostics.append(Diagnostic(message, span))
 
     def name(self) -> S.Name:

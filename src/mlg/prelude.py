@@ -10,8 +10,6 @@ from . import syntax as S
 from .parser import parse_program, parse_type
 from .typecheck import check_program
 
-_set = object.__setattr__
-
 
 def prelude_source() -> str:
     return (
@@ -41,13 +39,6 @@ EXPECTED_TYPES: dict[str, str] = {
 }
 
 
-class PreludeDef(S.Node):
-    def __init__(self, name: str, source: str, expected_type: S.CompType):
-        _set(self, "name", name)
-        _set(self, "source", source)
-        _set(self, "expected_type", expected_type)
-
-
 @cache
 def _parsed_prelude() -> S.Program:
     """The prelude, parsed once per process. Every program shares its
@@ -72,27 +63,21 @@ def _override_block_size(program: S.Program, block_size: int) -> S.Program:
     return S.Program(defs, program.entry)
 
 
-def load_prelude(block_size: int | None = None) -> list[PreludeDef]:
-    """Parse and check the prelude; a failure here is a build failure."""
-    from .pretty import pretty_expr
-
+def load_prelude(block_size: int | None = None) -> dict[str, S.CompType]:
+    """Parse and check the prelude, giving each definition's type; a
+    failure here is a build failure."""
     program = prelude_program(block_size)
     result = check_program(program)
     if not result.ok:
         raise MlgError(result.diagnostics)
-    defs = []
-    for item in program.comp_defs():
-        expected = parse_type(EXPECTED_TYPES[item.name.text])
-        actual = result.def_types[item.name.text]
+    for name, actual in result.def_types.items():
+        expected = parse_type(EXPECTED_TYPES[name])
         if actual != expected:
             raise MlgError(
-                f"prelude definition '{item.name}' has type {actual}, "
+                f"prelude definition '{name}' has type {actual}, "
                 f"expected {expected}"
             )
-        defs.append(
-            PreludeDef(item.name.text, pretty_expr(item.body), expected)
-        )
-    return defs
+    return result.def_types
 
 
 def load_program(

@@ -92,8 +92,9 @@ class ObjectStore:
         self.write_count += 1
 
     def snapshot(self) -> tuple[StoredObject, ...]:
-        """The objects in id order."""
-        return tuple([self.objects[oid] for oid in sorted(self.objects)])
+        """The objects in id order: ids are allocated in increasing order
+        and never removed, and `update` and `clone` keep the dict's order."""
+        return tuple(self.objects.values())
 
     def clone(self) -> "ObjectStore":
         other = ObjectStore()

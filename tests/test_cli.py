@@ -55,6 +55,18 @@ def test_missing_file_exit_1(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--max-steps"), ("explore", "--depth"), ("explore", "--states"),
+    ("explore", "--repl-budget"), ("check", "--block-size"),
+])
+def test_a_count_flag_of_zero_is_a_usage_error(capsys, tmp_path, command,
+                                               flag):
+    path = write(tmp_path, "system = 0\n")
+    code, out, err = invoke(capsys, command, path, flag, "0")
+    assert (code, out) == (1, "")
+    assert err.endswith(f"error: argument {flag}: must be positive\n")
+
+
 def test_run_filesystem_seed_42(capsys):
     code, out, err = invoke(
         capsys, "run", str(demo_path("filesystem.mlg")), "--seed", "42"
@@ -189,6 +201,22 @@ def test_explore_budget_cut_names_cause_and_flag(capsys, tmp_path, cause,
     assert err.count("warning:") == 1
     assert f"the {cause} limit cut" in err
     assert f"raise --{cause}" in err
+
+
+# 40 sends on c, then 40 receives: one path of 40 steps
+CHAIN_40 = ("chan c : nat\nsystem = "
+            + " . ".join(f"c!({i})" for i in range(40)) + " . 0 | "
+            + " . ".join(f"c?(x{i})" for i in range(40)) + " . 0\n")
+
+
+def test_explore_has_no_depth_cap_by_default(capsys, tmp_path):
+    path = write(tmp_path, CHAIN_40)
+    assert invoke(capsys, "explore", path) == (
+        0, "states=41 edges=40 deadlocks=0 terminals=1 frontier=0\n", "")
+    code, out, err = invoke(capsys, "explore", path, "--depth", "32")
+    assert code == 5
+    assert out == "states=33 edges=32 deadlocks=0 terminals=0 frontier=1\n"
+    assert "the depth limit cut 1 frontier state(s)" in err
 
 
 @pytest.mark.parametrize("states", [1, 2, 3, 5])
@@ -332,6 +360,17 @@ def test_explore_dot_under_records_is_one_record(capsys):
     assert text.startswith(dot) and text[len(dot):].startswith("states=")
 
 
+def test_explore_dot_to_a_path_writes_what_stdout_gets(capsys, tmp_path):
+    demo = str(demo_path("deadlock_recv.mlg"))
+    dot = tmp_path / "graph.dot"
+    _, text, _ = invoke(capsys, "explore", demo, "--dot", "-")
+    code, out, err = invoke(capsys, "explore", demo, "--dot", str(dot))
+    assert (code, err) == (3, "")
+    # stdout gets the graph, then what the run without --dot prints
+    assert text == dot.read_text(encoding="utf-8") + out
+    assert out.startswith("states=")
+
+
 def test_explore_dot_to_an_unwritable_path_is_a_diagnostic(capsys, tmp_path):
     dot = str(tmp_path / "missing" / "x.dot")
     code, out, err = invoke(
@@ -360,6 +399,15 @@ def test_fmt_idempotent(capsys):
         sys.stdin = stdin
     assert code2 == 0
     assert twice == once
+
+
+def test_fmt_records_is_one_program_record(capsys):
+    path = str(demo_path("filesystem.mlg"))
+    _, text, _ = invoke(capsys, "fmt", path)
+    code, out, err = invoke(capsys, "fmt", path, "--format", "records")
+    assert (code, err) == (0, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"kind": "program", "text": text}]
 
 
 def test_fmt_round_trips_field_selection(capsys, tmp_path):
@@ -543,6 +591,16 @@ def test_unchecked_runtime_fault_reported(capsys, tmp_path):
     code, out, err = invoke(capsys, "run", path, "--unchecked")
     assert code == 2
     assert "does not inhabit sort" in err
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_unchecked_object_sort_fault_points_at_the_payload(capsys, tmp_path,
+                                                           command):
+    path = write(tmp_path,
+                 "chan c : [a : nat]\nsystem = c!(1) . 0 | c?(o) . 0\n")
+    assert invoke(capsys, command, path, "--unchecked") == (2, "", (
+        f"{path}:2:13: error: payload 1 does not inhabit sort [a : nat] "
+        f"of channel 'c'\n"))
 
 
 def test_a_large_step_count_is_reported_exactly(capsys, tmp_path):

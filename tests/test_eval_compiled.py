@@ -240,6 +240,21 @@ def test_each_branch_shape_compiles_to_its_form(branch, form):
     assert _compile(e, ()).__name__ == form
 
 
+@pytest.mark.parametrize("branch, form", [
+    ("succ(k)", "rec"), ("r", "rec_of_var"), ("k", "rec_pred"),
+    ("succ(r)", "rec_add"),
+])
+def test_a_function_scrutinee_faults_in_every_form(branch, form):
+    # the scrutinee is a function only after one application
+    e = parse_comp_expr("rec (fun (x : nat) fun (y : nat) y) 1"
+                        f" {{ z -> 9 | succ(k) with r -> {branch} }}")
+    assert _compile(e, ()).__name__ == form
+    for limit in (1, 10**7):
+        kind, _, message, used = agree(EMPTY_ENV, None, e, limit)
+        assert (kind, message, used) == (
+            "fault", "rec scrutinee is not a natural", 1)
+
+
 def test_faults_are_the_same():
     x, n, r = S.Name("x"), S.Name("n"), S.Name("r")
     one, ident = S.NatLit(1), S.Lambda(x, S.NAT, S.Var(x))

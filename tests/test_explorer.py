@@ -160,6 +160,32 @@ def test_keys_kept_on_a_program_are_reused_only_for_equal_inputs(src, runs):
         assert list(kept[:5]) == summary
 
 
+def kept_memos(node, seen=None) -> int:
+    """The memos kept on `node`'s terms, each term counted once."""
+    seen = set() if seen is None else seen
+    if id(node) in seen:
+        return 0
+    seen.add(id(node))
+    if isinstance(node, tuple):
+        return sum(kept_memos(item, seen) for item in node)
+    if not isinstance(node, S.Node):
+        return 0
+    keys = node.__dict__.get("_keys")
+    return (len(keys[1]) if keys else 0) + sum(
+        kept_memos(getattr(node, field), seen) for field in node._fields)
+
+
+def test_explorations_of_one_program_share_its_memos():
+    # the program's definitions are evaluated once, so every exploration
+    # looks up the same closure and finds the memos the first one kept
+    program, ann = load(CLOSURE_OVER_RESTRICTED)
+    counts = []
+    for _ in range(4):
+        explore(program, annotations=ann)
+        counts.append(kept_memos(program))
+    assert counts == [11, 11, 11, 11]
+
+
 def test_states_of_two_explorations_are_equal_and_hash_equal():
     for program, ann in (load(demo_text("race.mlg"), prelude=True),
                          load(GRID)):

@@ -29,7 +29,7 @@ ALLOWED = {
     "store": {"syntax", "evaluate"},
     "engine": {"diagnostics", "syntax", "evaluate", "store"},
     "explorer": {"syntax", "evaluate", "engine"},
-    "prelude": {"diagnostics", "syntax", "parser", "pretty", "typecheck"},
+    "prelude": {"diagnostics", "syntax", "parser", "typecheck"},
     "cli": {"diagnostics", "parser", "pretty", "typecheck", "engine",
             "explorer", "prelude"},
     "__init__": set(),

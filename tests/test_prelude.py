@@ -25,10 +25,10 @@ def ev(src, env=ENV):
 
 
 def test_every_definition_has_its_documented_type():
-    defs = load_prelude()
-    assert {d.name for d in defs} == set(EXPECTED_TYPES)
-    for d in defs:
-        assert d.expected_type == parse_type(EXPECTED_TYPES[d.name])
+    types = load_prelude()
+    assert set(types) == set(EXPECTED_TYPES)
+    for name, ty in types.items():
+        assert ty == parse_type(EXPECTED_TYPES[name])
 
 
 def test_add_and_mul():

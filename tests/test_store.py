@@ -128,6 +128,17 @@ def test_snapshot_is_stable_and_value_sensitive():
     assert store.snapshot() != snap1
 
 
+def test_snapshot_is_in_id_order_after_updates_and_clones():
+    store = ObjectStore()
+    refs = [fresh_file(store) for _ in range(3)]
+    store.update(refs[0], [("size", 5)])  # the most recent write
+    copy = store.clone()
+    copy.update(refs[1], [("size", 6)])
+    fresh_file(copy)
+    assert [obj.id for obj in store.snapshot()] == [0, 1, 2]
+    assert [obj.id for obj in copy.snapshot()] == [0, 1, 2, 3]
+
+
 def test_clone_is_independent():
     store = ObjectStore()
     ref = fresh_file(store)

@@ -6,12 +6,12 @@ import inspect
 
 import pytest
 
-from mlg import engine, evaluate, explorer, prelude, store
+from mlg import engine, evaluate, explorer, store
 from mlg import syntax as S
 from mlg.parser import parse_program
 
 NODE_CLASSES = sorted(
-    {cls for module in (S, evaluate, store, engine, explorer, prelude)
+    {cls for module in (S, evaluate, store, engine, explorer)
      for cls in vars(module).values()
      if isinstance(cls, type) and issubclass(cls, S.Node)
      and cls is not S.Node},
